@@ -29,7 +29,7 @@
 //!   matrix, with the dirty/reused node split from the run counters;
 //! * the serving layer over loopback: `/v1/healthz` round-trips per
 //!   second and the end-to-end submit→done latency of an HTTP-submitted
-//!   job (upload, queue, reconstruction, output writes, status poll),
+//!   job (upload, queue, reconstruction, output writes, status long-poll),
 //!   each with client-side p50/p95/p99 from the same log₂ duration
 //!   buckets the daemon exposes on `/v1/metrics`.
 //!

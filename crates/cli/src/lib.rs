@@ -116,7 +116,10 @@ run report, and the process exits with code 3 instead of 0.
 
 Serving: `serve` exposes the pipeline as a zero-dependency HTTP daemon
 (POST /v1/jobs, GET /v1/jobs/{id}, /edges, /report, POST
-/v1/jobs/{id}/cascades, GET /v1/metrics, /v1/healthz). Requests are
+/v1/jobs/{id}/cascades, GET /v1/metrics, /v1/healthz).
+GET /v1/jobs/{id}?wait_ms=N long-polls: the answer comes as soon as the
+job is done, failed or partial, or after N ms (at most 30 s) with its
+state at that moment; `submit --wait` and `job --wait` wait this way. Requests are
 handled by an epoll event loop with HTTP/1.1 keep-alive and pipelining;
 overload answers are typed (429 past the per-connection in-flight
 budget, 503 when the request or job queue is full, 408 on stalled
@@ -128,7 +131,7 @@ client for scripts and CI.
 
 Load generation: `loadgen` drives a daemon from N concurrent
 connections, closed-loop by default or open-loop at `--target-rps`,
-mixing healthz probes, full submit→poll→edges round-trips, and cascade
+mixing healthz probes, full submit→wait→edges round-trips, and cascade
 appends (`--mix healthz=9,submit=1`). It reports ok/total rps, p50/p95
 /p99 latency from fine-grained histograms, and per-class error counts
 (429/503/timeouts); `--json` emits the structured report, `--repeats`

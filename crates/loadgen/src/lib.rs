@@ -7,7 +7,7 @@
 //! measures behavior at a target arrival rate, exposing queueing).
 //! Workload mixes cover the three traffic shapes the daemon serves:
 //! cheap inline probes (`healthz`), the full inference round-trip
-//! (`submit` → poll → `edges`), and incremental re-estimation
+//! (`submit` → wait → `edges`), and incremental re-estimation
 //! (`append` cascades to a standing job).
 //!
 //! Latency is recorded into [`diffnet_observe::DurationHistogram`]s
@@ -39,7 +39,7 @@ pub enum Workload {
     /// `GET /v1/healthz` — the cheapest inline route; measures the
     /// reactor's request-handling floor.
     Healthz,
-    /// `POST /v1/jobs` with a small status matrix, poll to a terminal
+    /// `POST /v1/jobs` with a small status matrix, long-poll to a terminal
     /// state, then `GET /v1/jobs/{id}/edges` — the full inference
     /// round-trip, measured as one operation.
     Submit,

@@ -322,16 +322,24 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// The deepest array/object nesting [`parse`] accepts. The parser
+/// recurses once per level, so without a cap a hostile document such as
+/// a million `[` overflows the stack; every document this workspace
+/// writes nests fewer than ten levels.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses a JSON document into a [`Json`] tree.
 ///
 /// Accepts exactly the grammar the writer emits (standard JSON minus
 /// exponent-heavy corner cases it never produces — exponents in numbers
 /// *are* accepted for robustness). Trailing whitespace is allowed; any
-/// other trailing content is an error.
+/// other trailing content is an error, as is nesting deeper than
+/// [`MAX_DEPTH`].
 pub fn parse(input: &str) -> Result<Json, ParseError> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -345,6 +353,8 @@ pub fn parse(input: &str) -> Result<Json, ParseError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -393,8 +403,19 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err("nesting deeper than the maximum depth"));
+                }
+                self.depth += 1;
+                let v = if open == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
@@ -602,6 +623,20 @@ mod tests {
         assert!(parse("[1, 2,]").is_err());
         assert!(parse("{\"a\": 1} x").is_err());
         assert!(parse("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_instead_of_overflowing_the_stack() {
+        // A million unclosed brackets used to recurse until the process
+        // aborted; it is now an ordinary error at the cap's offset.
+        let err = parse(&"[".repeat(1_000_000)).expect_err("too deep");
+        assert_eq!(err.offset, MAX_DEPTH);
+        assert!(err.message.contains("depth"), "{err}");
+        let err = parse(&"{\"a\":".repeat(1_000_000)).expect_err("too deep");
+        assert!(err.message.contains("depth"), "{err}");
+        // Exactly at the cap still parses.
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        parse(&ok).expect("nesting at the cap parses");
     }
 
     #[test]

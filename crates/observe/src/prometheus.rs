@@ -158,6 +158,14 @@ const METRIC_HELP: &[(&str, &str)] = &[
         "Requests served on an already-used keep-alive connection.",
     ),
     (
+        "http_long_polls_expired",
+        "Parked job long-polls answered because their wait ran out.",
+    ),
+    (
+        "http_long_polls_parked",
+        "Job long-polls parked on the reactor until the job settled or the wait ran out.",
+    ),
+    (
         "http_protocol_errors",
         "Requests rejected while parsing the HTTP head or body.",
     ),
@@ -181,6 +189,14 @@ const METRIC_HELP: &[(&str, &str)] = &[
     (
         "http_throttled_429",
         "Requests answered 429 for exceeding the per-connection in-flight budget.",
+    ),
+    (
+        "job_queue_wait_seconds",
+        "Seconds a job waited in the queue, from enqueue to worker claim.",
+    ),
+    (
+        "job_run_seconds",
+        "Seconds from worker claim to a persisted terminal job state.",
     ),
     ("jobs_completed", "Jobs that finished with a full result."),
     ("jobs_failed", "Jobs that finished with an error."),

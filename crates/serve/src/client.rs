@@ -5,7 +5,7 @@
 //!
 //! The client keeps one connection alive and reuses it across requests
 //! (responses are `Content-Length`-framed, so reuse needs no `close`
-//! delimiter): polling loops like [`Client::wait_for_job`] ride a single
+//! delimiter): the long-polls of [`Client::wait_for_job`] ride a single
 //! connection instead of reconnecting per poll. The server's
 //! `Connection: close` answers — and idle reaping, which it advertises
 //! via `Keep-Alive: timeout=N` — are honored by dropping the pooled
@@ -20,11 +20,12 @@
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use diffnet_observe::{parse_json, Json};
 
 use crate::http::Method;
+use crate::server::MAX_JOB_WAIT;
 
 /// A client bound to one server address, holding at most one pooled
 /// keep-alive connection (shared across clones).
@@ -165,14 +166,21 @@ impl Client {
         }
     }
 
-    /// Polls `GET /v1/jobs/{id}` until the state is terminal or the
-    /// deadline passes; returns the final status document. The polls
-    /// share the pooled keep-alive connection.
+    /// Long-polls `GET /v1/jobs/{id}?wait_ms=` until the state is
+    /// terminal or `deadline` (measured from the call) passes; returns the
+    /// final status document. The server answers each poll as soon as
+    /// the job settles, so a finished job costs one request. Each poll
+    /// waits at most the time left, and at most half the socket timeout,
+    /// so the read never times out on a server that is merely waiting.
     pub fn wait_for_job(&self, id: u64, deadline: Duration) -> io::Result<Json> {
-        let poll = Duration::from_millis(50);
-        let mut waited = Duration::ZERO;
+        let started = Instant::now();
         loop {
-            let (status, json) = self.get_json(&format!("/v1/jobs/{id}"))?;
+            let wait = deadline
+                .saturating_sub(started.elapsed())
+                .min(self.timeout / 2)
+                .min(MAX_JOB_WAIT);
+            let path = format!("/v1/jobs/{id}?wait_ms={}", wait.as_millis());
+            let (status, json) = self.get_json(&path)?;
             if status != 200 {
                 return Err(io::Error::other(format!(
                     "job {id} status returned {status}: {}",
@@ -183,13 +191,12 @@ impl Client {
             if matches!(state, "done" | "failed" | "partial") {
                 return Ok(json);
             }
+            let waited = started.elapsed();
             if waited >= deadline {
                 return Err(io::Error::other(format!(
                     "job {id} still {state:?} after {waited:?}"
                 )));
             }
-            std::thread::sleep(poll);
-            waited += poll;
         }
     }
 }

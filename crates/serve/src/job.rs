@@ -40,8 +40,8 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::Duration;
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::time::{Duration, Instant};
 
 use diffnet_baselines::{Lift, MulTree, NetInf, NetRate, PathReconstruction};
 use diffnet_graph::io::{save_atomic, save_edge_list};
@@ -384,9 +384,14 @@ struct Entry {
 
 struct ManagerState {
     jobs: BTreeMap<u64, Entry>,
-    queue: VecDeque<u64>,
+    /// Job ids waiting for a worker, each with the instant it was
+    /// enqueued (the start of its `job_queue_wait_seconds` sample).
+    queue: VecDeque<(u64, Instant)>,
     next_id: u64,
 }
+
+/// Called with a job's id after each of its terminal transitions.
+type SettleHook = Box<dyn Fn(u64) + Send + Sync>;
 
 /// The queue + worker pool + on-disk store, shared across handler threads.
 pub struct JobManager {
@@ -401,6 +406,8 @@ pub struct JobManager {
     /// (the explicit backpressure signal, distinct from the per-request
     /// worker queue). `usize::MAX` (the default) means unbounded.
     max_queued: AtomicUsize,
+    /// See [`JobManager::set_settle_hook`].
+    settle_hook: OnceLock<SettleHook>,
 }
 
 impl JobManager {
@@ -446,13 +453,13 @@ impl JobManager {
             }
             next_id = next_id.max(id + 1);
             match meta.state {
-                JobState::Queued => queue.push_back(id),
+                JobState::Queued => queue.push_back((id, Instant::now())),
                 JobState::Running => {
                     // The previous process died (or shut down) mid-job:
                     // the checkpoint carries the finished nodes, so this
                     // re-run resumes instead of restarting.
                     rec.add("jobs_resumed", 1);
-                    queue.push_back(id);
+                    queue.push_back((id, Instant::now()));
                 }
                 _ => {}
             }
@@ -472,6 +479,7 @@ impl JobManager {
             available: Condvar::new(),
             workers: Mutex::new(Vec::new()),
             max_queued: AtomicUsize::new(usize::MAX),
+            settle_hook: OnceLock::new(),
         });
         // Appends buffered by a previous process: terminal jobs fold them
         // in now; queued/running jobs fold them in when they next finish.
@@ -537,6 +545,14 @@ impl JobManager {
         self.max_queued.store(cap.max(1), Ordering::Relaxed);
     }
 
+    /// Installs the hook a worker calls with the job id once a job has
+    /// reached `done`, `failed` or `partial` and that state is persisted.
+    /// The daemon uses it to wake long-polls parked on the job; only the
+    /// first hook installed is kept.
+    pub fn set_settle_hook(&self, hook: impl Fn(u64) + Send + Sync + 'static) {
+        let _ = self.settle_hook.set(Box::new(hook));
+    }
+
     /// Accepts a new job: validates the spec, parses the uploaded input
     /// (status matrix or observation set), persists everything, enqueues.
     pub fn submit(&self, spec: JobSpec, body: &[u8]) -> Result<JobMeta, JobError> {
@@ -588,7 +604,7 @@ impl JobManager {
                 live: None,
             },
         );
-        st.queue.push_back(id);
+        st.queue.push_back((id, Instant::now()));
         self.rec.add("jobs_submitted", 1);
         drop(st);
         self.available.notify_one();
@@ -717,7 +733,7 @@ impl JobManager {
         for path in pending {
             let _ = fs::remove_file(path);
         }
-        st.queue.push_back(id);
+        st.queue.push_back((id, Instant::now()));
         Ok(meta)
     }
 
@@ -728,6 +744,13 @@ impl JobManager {
         let entry = st.jobs.get(&id)?;
         let snap = entry.live.as_ref().map(|r| r.snapshot());
         Some((entry.meta.clone(), snap))
+    }
+
+    /// The job's current state alone: [`JobManager::status`] without the
+    /// meta clone and the live progress snapshot.
+    pub fn state(&self, id: u64) -> Option<JobState> {
+        let st = self.state.lock().expect("state lock");
+        st.jobs.get(&id).map(|e| e.meta.state)
     }
 
     /// All jobs, in id order.
@@ -773,14 +796,14 @@ impl JobManager {
 
     fn worker_loop(&self) {
         loop {
-            let id = {
+            let (id, queued_at) = {
                 let mut st = self.state.lock().expect("state lock");
                 loop {
                     if self.shutdown.load(Ordering::SeqCst) {
                         return;
                     }
-                    if let Some(id) = st.queue.pop_front() {
-                        break id;
+                    if let Some(next) = st.queue.pop_front() {
+                        break next;
                     }
                     st = self
                         .available
@@ -789,12 +812,16 @@ impl JobManager {
                         .0;
                 }
             };
-            self.run_one(id);
+            let queue_wait_s = queued_at.elapsed().as_secs_f64();
+            self.rec.duration("job_queue_wait_seconds", queue_wait_s);
+            self.run_one(id, queue_wait_s);
         }
     }
 
-    /// Claims job `id`, runs it, and persists the outcome.
-    fn run_one(&self, id: u64) {
+    /// Claims job `id`, runs it, and persists the outcome. `queue_wait_s`
+    /// is how long the job waited for a worker; the report records it.
+    fn run_one(&self, id: u64, queue_wait_s: f64) {
+        let claimed = Instant::now();
         let rec = Arc::new(Recorder::new());
         let meta = {
             let mut st = self.state.lock().expect("state lock");
@@ -819,9 +846,9 @@ impl JobManager {
         }
 
         let outcome = if meta.spec.takes_statuses() {
-            self.run_tends(&meta, &rec)
+            self.run_tends(&meta, &rec, queue_wait_s)
         } else {
-            self.run_baseline(&meta, &rec)
+            self.run_baseline(&meta, &rec, queue_wait_s)
         };
 
         let mut st = self.state.lock().expect("state lock");
@@ -852,6 +879,11 @@ impl JobManager {
                 let meta = entry.meta.clone();
                 drop(st);
                 let _ = self.save_meta(&meta);
+                self.rec
+                    .duration("job_run_seconds", claimed.elapsed().as_secs_f64());
+                if let Some(hook) = self.settle_hook.get() {
+                    hook(id);
+                }
                 // Cascades appended mid-run were buffered; fold them in
                 // (one revision bump for the whole batch) and re-queue.
                 let mut st = self.state.lock().expect("state lock");
@@ -865,7 +897,7 @@ impl JobManager {
         }
     }
 
-    fn run_tends(&self, meta: &JobMeta, rec: &Recorder) -> Outcome {
+    fn run_tends(&self, meta: &JobMeta, rec: &Recorder, queue_wait_s: f64) -> Outcome {
         let dir = self.job_dir(meta.id);
         // Window-scoped resource profile for the job; attached to the
         // report's runtime section. Early returns drop the profiler,
@@ -992,10 +1024,17 @@ impl JobManager {
         } else {
             JobState::Partial
         };
-        self.write_outputs(meta, state, &partial.result.graph, &report, &failed_nodes)
+        self.write_outputs(
+            meta,
+            state,
+            &partial.result.graph,
+            &report,
+            &failed_nodes,
+            queue_wait_s,
+        )
     }
 
-    fn run_baseline(&self, meta: &JobMeta, rec: &Recorder) -> Outcome {
+    fn run_baseline(&self, meta: &JobMeta, rec: &Recorder, queue_wait_s: f64) -> Outcome {
         let dir = self.job_dir(meta.id);
         let profiler = ResourceProfiler::start(DEFAULT_SAMPLE_INTERVAL);
         let obs = match diffnet_simulate::io::load_observations(dir.join("observations.txt")) {
@@ -1013,7 +1052,7 @@ impl JobManager {
         };
         let mut report = RunReport::new(meta.spec.algorithm.as_str(), rec.snapshot(), 1);
         report.resources = Some(profiler.stop());
-        self.write_outputs(meta, JobState::Done, &graph, &report, &[])
+        self.write_outputs(meta, JobState::Done, &graph, &report, &[], queue_wait_s)
     }
 
     fn write_outputs(
@@ -1023,12 +1062,13 @@ impl JobManager {
         graph: &DiGraph,
         report: &RunReport,
         failed_nodes: &[u64],
+        queue_wait_s: f64,
     ) -> Outcome {
         let dir = self.job_dir(meta.id);
         if let Err(e) = save_edge_list(graph, dir.join("edges.txt")) {
             return Outcome::failed(format!("cannot write edges: {e}"));
         }
-        let json = job_report_json(report, meta.id, state, meta.revision);
+        let json = job_report_json(report, meta.id, state, meta.revision, queue_wait_s);
         if let Err(e) = save_atomic(dir.join("report.json"), |w| {
             w.write_all(json.to_pretty().as_bytes())
         }) {
@@ -1064,15 +1104,23 @@ impl Outcome {
 }
 
 /// The job's `report.json`: a normal [`RunReport`] with a `job` record
+/// (id, state, revision, and the seconds the job waited in the queue)
 /// injected into the `runtime` section — the deterministic section stays
 /// byte-identical to an offline CLI run on the same input.
-pub fn job_report_json(report: &RunReport, id: u64, state: JobState, revision: u64) -> Json {
+pub fn job_report_json(
+    report: &RunReport,
+    id: u64,
+    state: JobState,
+    revision: u64,
+    queue_wait_s: f64,
+) -> Json {
     let mut root = report.to_json();
     let mut runtime = root.remove("runtime").unwrap_or_else(Json::object);
     let mut job = Json::object();
     job.push("id", id);
     job.push("state", state.as_str());
     job.push("revision", revision);
+    job.push("queue_wait_s", queue_wait_s);
     runtime.push("job", job);
     root.push("runtime", runtime);
     root
@@ -1544,7 +1592,7 @@ mod tests {
 
         // The "running" job finishes: the terminal transition folds both
         // buffered batches in with one revision bump and re-queues.
-        m.run_one(1);
+        m.run_one(1, 0.0);
         let done = wait_terminal(&m, 1);
         assert_eq!(done.state, JobState::Done);
         assert_eq!(done.revision, 2, "one bump per applied batch");
@@ -1680,7 +1728,7 @@ mod tests {
             let meta = m
                 .submit(JobSpec::default(), &statuses_bytes(&statuses))
                 .expect("submit");
-            m.run_one(meta.id);
+            m.run_one(meta.id, 0.0);
             let (meta, _) = m.status(1).expect("job");
             assert_eq!(
                 meta.state,
@@ -1705,12 +1753,13 @@ mod tests {
         }
         rec.add("edges_emitted", 3);
         let report = RunReport::new("tends", rec.snapshot(), 2);
-        let json = job_report_json(&report, 9, JobState::Done, 4);
+        let json = job_report_json(&report, 9, JobState::Done, 4, 0.25);
         diffnet_observe::validate_report_json(&json.to_pretty(), &["load_statuses"], &[])
             .expect("valid");
         let job = json.get("runtime").and_then(|r| r.get("job")).expect("job");
         assert_eq!(job.get("id").and_then(Json::as_f64), Some(9.0));
         assert_eq!(job.get("revision").and_then(Json::as_f64), Some(4.0));
+        assert_eq!(job.get("queue_wait_s").and_then(Json::as_f64), Some(0.25));
         // Stripping runtime removes the job record: the deterministic
         // section is unchanged relative to an offline run.
         let mut stripped = json.clone();

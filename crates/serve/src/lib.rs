@@ -17,6 +17,7 @@
 //! | `POST /v1/jobs?algorithm=&threads=&checkpoint-interval=&edges=` | submit an input, get a job id |
 //! | `GET /v1/jobs` | list jobs |
 //! | `GET /v1/jobs/{id}` | state machine + live progress counters |
+//! | `GET /v1/jobs/{id}?wait_ms=N` | the same, long-polled: answered once the job settles or `N` ms pass (capped at 30 s) |
 //! | `GET /v1/jobs/{id}/edges` | the inferred edge list |
 //! | `GET /v1/jobs/{id}/report` | the run report (with `runtime.job`) |
 //! | `GET /v1/jobs/{id}/trace` | the job's span tree (live while running, from the report once finished) |
@@ -62,4 +63,4 @@ pub use job::{
     ALGORITHMS,
 };
 pub use reactor::Tuning;
-pub use server::{ServeConfig, Server, FAULT_ACCEPT};
+pub use server::{ServeConfig, Server, FAULT_ACCEPT, MAX_JOB_WAIT};

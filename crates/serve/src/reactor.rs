@@ -21,6 +21,18 @@
 //! eventfd doorbell — the reactor never blocks on disk or on the job
 //! manager, and responses flush as soon as their turn comes.
 //!
+//! # Long-polls
+//!
+//! A `GET /v1/jobs/{id}?wait_ms=N` on a job that has not settled takes
+//! no worker: its slot stays unfilled and a [`Parked`] entry records the
+//! job and the deadline. When a job settles, its worker pushes the id to
+//! the shared settled list and rings the doorbell; the loop then answers
+//! only the entries parked on settled jobs, through the same status call
+//! the inline route makes. Each pass also answers entries whose deadline
+//! passed (the `epoll_wait` timeout shrinks to the nearest one). A drain
+//! answers every parked request at once, and an entry whose connection
+//! closed is dropped by the same generation check completions use.
+//!
 //! # Bounds and backpressure
 //!
 //! Everything a client can grow is capped:
@@ -49,8 +61,9 @@
 //!
 //! When the shutdown flag flips (signal, `POST /v1/shutdown`, or
 //! [`crate::server::Server::request_shutdown`]), the reactor stops
-//! accepting and stops reading, drains every in-flight response (bounded
-//! by [`Tuning::drain_timeout`]), then joins the request workers. Job
+//! accepting and stops reading, answers parked long-polls with the jobs'
+//! current state, drains every in-flight response (bounded by
+//! [`Tuning::drain_timeout`]), then joins the request workers. Job
 //! workers are joined by the caller afterwards, preserving the PR-5
 //! contract that in-flight jobs checkpoint and stay resumable.
 
@@ -64,7 +77,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::http::{parse_buffered, truncation_error, Parsed, Request, Response};
-use crate::server::{endpoint_metric, route, route_is_heavy, Shared};
+use crate::server::{endpoint_metric, job_status, long_poll, route, route_is_heavy, Shared};
 
 // ---------------------------------------------------------------------------
 // Raw epoll / eventfd FFI. Linux-specific by design: the daemon targets
@@ -351,6 +364,9 @@ struct SlotState {
     method: String,
     path: String,
     request_id: String,
+    /// A long-poll that was parked: its duration is a deliberate wait,
+    /// so it never counts as a slow request.
+    parked: bool,
 }
 
 struct Conn {
@@ -404,6 +420,19 @@ fn token_for(index: usize, gen: u32) -> u64 {
 const TOKEN_LISTENER: u64 = u64::MAX;
 const TOKEN_WAKEUP: u64 = u64::MAX - 1;
 
+/// How long one `epoll_wait` may block when no parked deadline is nearer.
+const POLL_TICK: Duration = Duration::from_millis(100);
+
+/// A long-poll waiting for `job` to settle: response slot `seq` on the
+/// connection behind `token`, answered at `deadline` at the latest.
+#[derive(Clone, Copy)]
+struct Parked {
+    token: u64,
+    seq: u64,
+    job: u64,
+    deadline: Instant,
+}
+
 // ---------------------------------------------------------------------------
 // The reactor proper.
 
@@ -425,6 +454,7 @@ pub(crate) struct Reactor {
     accept_paused_until: Option<Instant>,
     draining_since: Option<Instant>,
     last_sweep: Instant,
+    parked: Vec<Parked>,
 }
 
 impl Reactor {
@@ -465,6 +495,7 @@ impl Reactor {
             accept_paused_until: None,
             draining_since: None,
             last_sweep: Instant::now(),
+            parked: Vec::new(),
         })
     }
 
@@ -482,7 +513,7 @@ impl Reactor {
                     break;
                 }
             }
-            self.poller.wait(&mut events, Duration::from_millis(100))?;
+            self.poller.wait(&mut events, self.poll_timeout())?;
             self.shared.rec.add("reactor_wakeups", 1);
             for &(token, mask) in &events {
                 match token {
@@ -492,6 +523,7 @@ impl Reactor {
                 }
             }
             self.apply_completions();
+            self.resolve_parked();
             self.sweep_timers();
             self.resume_accepts();
         }
@@ -791,6 +823,7 @@ impl Reactor {
                 method: "-".to_string(),
                 path: "-".to_string(),
                 request_id: rid,
+                parked: false,
             });
             seq
         };
@@ -819,6 +852,7 @@ impl Reactor {
                 method: request.method.to_string(),
                 path: request.path.clone(),
                 request_id: rid,
+                parked: false,
             });
             if !keep_alive {
                 conn.stop_reading = true;
@@ -853,6 +887,20 @@ impl Reactor {
                     self.fill_slot(index, seq, Response::error(503, "request queue full"));
                 }
             }
+        } else if let Some((job, wait)) = long_poll(&self.shared, &request) {
+            // The job has not settled: hold the slot (and everything
+            // pipelined behind it) until it does or the wait runs out.
+            let conn = self.slots[index].conn.as_mut().expect("live conn");
+            if let Some(slot) = conn.pending.back_mut() {
+                slot.parked = true;
+            }
+            self.shared.rec.add("http_long_polls_parked", 1);
+            self.parked.push(Parked {
+                token,
+                seq,
+                job,
+                deadline: Instant::now() + wait,
+            });
         } else {
             let response = route(&self.shared, &request);
             self.fill_slot(index, seq, response);
@@ -873,14 +921,15 @@ impl Reactor {
             self.shared.rec.add("http_error_responses", 1);
         }
         response.header("X-Request-Id", slot.request_id.clone());
-        let keep_alive = !slot.close_after;
+        // A drain closes every connection once it flushes.
+        let keep_alive = !slot.close_after && self.draining_since.is_none();
         let mut bytes = Vec::with_capacity(256 + response.body.len());
         response.serialize_into(&mut bytes, keep_alive, idle_secs);
         slot.bytes = Some(bytes);
 
         let seconds = slot.started.elapsed().as_secs_f64();
         self.shared.rec.duration(slot.metric, seconds);
-        let slow = seconds > self.shared.slow_request_secs;
+        let slow = !slot.parked && seconds > self.shared.slow_request_secs;
         if slow {
             self.shared.rec.add("http_slow_requests", 1);
         }
@@ -1011,6 +1060,56 @@ impl Reactor {
         }
     }
 
+    /// The `epoll_wait` timeout: [`POLL_TICK`], or less when a parked
+    /// deadline comes sooner (rounded up to whole milliseconds, the
+    /// syscall's unit, so the wake lands at or after the deadline).
+    fn poll_timeout(&self) -> Duration {
+        match self.parked.iter().map(|p| p.deadline).min() {
+            Some(deadline) => {
+                let left = deadline.saturating_duration_since(Instant::now());
+                (left + Duration::from_micros(999)).min(POLL_TICK)
+            }
+            None => POLL_TICK,
+        }
+    }
+
+    /// Answers the parked long-polls whose job settled since the last
+    /// pass or whose wait ran out.
+    fn resolve_parked(&mut self) {
+        let settled = std::mem::take(&mut *self.shared.settled.lock().expect("settled list lock"));
+        if self.parked.is_empty() {
+            return;
+        }
+        let now = Instant::now();
+        let mut due = Vec::new();
+        let mut expired = 0;
+        self.parked.retain(|p| {
+            let woken = settled.contains(&p.job);
+            if !woken && p.deadline > now {
+                return true;
+            }
+            expired += u64::from(!woken);
+            due.push(*p);
+            false
+        });
+        if expired > 0 {
+            self.shared.rec.add("http_long_polls_expired", expired);
+        }
+        for p in due {
+            self.answer_parked(p);
+        }
+    }
+
+    /// Fills a parked slot with the job's status as of now. An entry
+    /// whose connection closed is dropped, like a stale completion.
+    fn answer_parked(&mut self, p: Parked) {
+        if let Some(index) = self.slot_index(p.token) {
+            let response = job_status(&self.shared, p.job);
+            self.fill_slot(index, p.seq, response);
+            self.flush_conn(index);
+        }
+    }
+
     fn sweep_timers(&mut self) {
         let now = Instant::now();
         if now.duration_since(self.last_sweep) < Duration::from_millis(250) {
@@ -1058,6 +1157,11 @@ impl Reactor {
         self.draining_since = Some(Instant::now());
         self.accepting = false;
         self.poller.delete(self.listener.as_raw_fd());
+        // Parked long-polls get the jobs' current state now instead of
+        // holding the drain open until their deadlines.
+        for p in std::mem::take(&mut self.parked) {
+            self.answer_parked(p);
+        }
         for index in 0..self.slots.len() {
             let Some(conn) = self.slots[index].conn.as_mut() else {
                 continue;

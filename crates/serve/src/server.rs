@@ -8,6 +8,10 @@
 //! and the [`route_is_heavy`] split deciding which routes run inline on
 //! the loop versus on the request-worker pool.
 //!
+//! A status query may carry `?wait_ms=N`: the reactor parks it until the
+//! job settles or `N` ms (at most [`MAX_JOB_WAIT`]) pass — [`long_poll`]
+//! decides whether a request parks, [`job_status`] answers it either way.
+//!
 //! Shutdown is cooperative and has three triggers that all set the same
 //! flag: `SIGTERM`/`SIGINT` (unix), `POST /v1/shutdown`, and
 //! [`Server::request_shutdown`]. The reactor notices the flag within one
@@ -20,7 +24,8 @@ use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 use diffnet_observe::{
     parse_json, render_prometheus, trace_to_json, FaultPlan, Json, Recorder, ResourceProfiler,
@@ -33,6 +38,10 @@ use crate::reactor::{Reactor, Tuning, Wakeup};
 
 /// Fault-injection site hit once per accepted connection.
 pub const FAULT_ACCEPT: &str = "accept";
+
+/// The longest a `GET /v1/jobs/{id}?wait_ms=N` long-poll stays parked; a
+/// larger `N` is clamped to it.
+pub const MAX_JOB_WAIT: Duration = Duration::from_secs(30);
 
 /// How the daemon is wired up. [`Default`] binds an ephemeral loopback
 /// port with one job worker — the configuration the tests use.
@@ -88,8 +97,12 @@ pub(crate) struct Shared {
     pub(crate) limits: Limits,
     pub(crate) shutdown: Arc<AtomicBool>,
     /// The reactor's eventfd doorbell: rung by request workers on
-    /// completion and by [`Server::request_shutdown`].
-    pub(crate) wakeup: Wakeup,
+    /// completion, by job workers when a job settles, and by
+    /// [`Server::request_shutdown`].
+    pub(crate) wakeup: Arc<Wakeup>,
+    /// Jobs that reached a terminal state since the reactor last looked;
+    /// it answers the long-polls parked on them.
+    pub(crate) settled: Arc<Mutex<Vec<u64>>>,
     pub(crate) fault: Arc<FaultPlan>,
     /// Sequence for generated request ids (`req-1`, `req-2`, …).
     next_request_id: AtomicU64,
@@ -132,12 +145,22 @@ impl Server {
             Arc::clone(&fault),
         )?;
         manager.set_max_queued(config.max_queued_jobs);
+        let wakeup = Arc::new(Wakeup::new()?);
+        let settled = Arc::new(Mutex::new(Vec::new()));
+        {
+            let (wakeup, settled) = (Arc::clone(&wakeup), Arc::clone(&settled));
+            manager.set_settle_hook(move |id| {
+                settled.lock().expect("settled list lock").push(id);
+                wakeup.ring();
+            });
+        }
         let shared = Arc::new(Shared {
             manager,
             rec,
             limits: config.limits,
             shutdown,
-            wakeup: Wakeup::new()?,
+            wakeup,
+            settled,
             fault,
             next_request_id: AtomicU64::new(1),
             profiler: ResourceProfiler::start(DEFAULT_SAMPLE_INTERVAL),
@@ -300,12 +323,10 @@ pub(crate) fn route(shared: &Shared, req: &Request) -> Response {
             root.push("jobs", Json::Arr(arr));
             Response::json(200, &root)
         }
-        (Method::Get, ["v1", "jobs", id]) => match parse_id(id) {
-            Some(id) => match shared.manager.status(id) {
-                Some((meta, live)) => Response::json(200, &status_json(&meta, live.as_ref())),
-                None => Response::error(404, format!("no job {id}")),
-            },
-            None => Response::error(404, format!("bad job id {id:?}")),
+        (Method::Get, ["v1", "jobs", id]) => match (parse_id(id), wait_param(req)) {
+            (None, _) => Response::error(404, format!("bad job id {id:?}")),
+            (Some(_), Err(msg)) => Response::error(422, msg),
+            (Some(id), Ok(_)) => job_status(shared, id),
         },
         (Method::Get, ["v1", "jobs", id, "edges"]) => output(shared, id, "edges.txt"),
         (Method::Get, ["v1", "jobs", id, "report"]) => output(shared, id, "report.json"),
@@ -329,6 +350,44 @@ pub(crate) fn route(shared: &Shared, req: &Request) -> Response {
         }
         _ => Response::error(404, format!("no route for {:?}", req.path)),
     }
+}
+
+/// `GET /v1/jobs/{id}`: the job's status document as of now. A parked
+/// long-poll is answered with exactly this once it resolves.
+pub(crate) fn job_status(shared: &Shared, id: u64) -> Response {
+    match shared.manager.status(id) {
+        Some((meta, live)) => Response::json(200, &status_json(&meta, live.as_ref())),
+        None => Response::error(404, format!("no job {id}")),
+    }
+}
+
+/// The status query's `wait_ms`, clamped to [`MAX_JOB_WAIT`]; `Ok(None)`
+/// when absent, `Err` (a 422) when it is not a non-negative integer.
+fn wait_param(req: &Request) -> Result<Option<Duration>, String> {
+    req.query_value("wait_ms")
+        .map(|raw| {
+            raw.parse::<u64>()
+                .map(|ms| Duration::from_millis(ms).min(MAX_JOB_WAIT))
+                .map_err(|_| format!("bad wait_ms value {raw:?} (whole milliseconds)"))
+        })
+        .transpose()
+}
+
+/// Whether the reactor parks `req`: a `GET /v1/jobs/{id}?wait_ms=N` with
+/// `N > 0` on a job that exists and has not settled. Returns the job and
+/// the wait; every other request — a terminal or unknown job, a zero or
+/// malformed wait — is answered by [`route`] at once.
+pub(crate) fn long_poll(shared: &Shared, req: &Request) -> Option<(u64, Duration)> {
+    let wait = wait_param(req).ok()??;
+    if req.method != Method::Get || wait.is_zero() {
+        return None;
+    }
+    let segments: Vec<&str> = req.path.split('/').filter(|s| !s.is_empty()).collect();
+    let ["v1", "jobs", id] = segments.as_slice() else {
+        return None;
+    };
+    let id = parse_id(id)?;
+    (!shared.manager.state(id)?.is_terminal()).then_some((id, wait))
 }
 
 fn output(shared: &Shared, id: &str, file: &str) -> Response {

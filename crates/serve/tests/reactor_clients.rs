@@ -9,6 +9,7 @@ use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
 use diffnet_observe::Json;
+use diffnet_serve::client::read_framed_response;
 use diffnet_serve::{Client, ServeConfig, Server, Tuning};
 
 fn temp_config(tag: &str) -> ServeConfig {
@@ -363,6 +364,26 @@ fn graceful_shutdown_drains_a_pending_response() {
     let _ = std::fs::remove_dir_all(&config.data_dir);
 }
 
+/// Like [`metric_value`], but a counter never incremented (and so not
+/// exported) reads as zero.
+fn counter(text: &str, name: &str) -> f64 {
+    text.lines()
+        .find(|l| l.starts_with(name) && l.as_bytes().get(name.len()).copied() == Some(b' '))
+        .map_or(0.0, |_| metric_value(text, name))
+}
+
+/// Blocks until the reactor has parked `n` long-polls in total: an
+/// ordering handshake, so a test acts only once its request is parked.
+fn await_parked(client: &Client, n: f64) {
+    for _ in 0..10_000 {
+        let text = client.metrics().expect("metrics");
+        if counter(&text, "diffnet_http_long_polls_parked") >= n {
+            return;
+        }
+    }
+    panic!("the reactor never parked {n} long-polls");
+}
+
 /// Extracts the first sample value for `name` from an exposition.
 fn metric_value(text: &str, name: &str) -> f64 {
     text.lines()
@@ -370,4 +391,241 @@ fn metric_value(text: &str, name: &str) -> f64 {
         .and_then(|l| l.split(' ').nth(1))
         .and_then(|v| v.parse().ok())
         .unwrap_or_else(|| panic!("metric {name} not found in:\n{text}"))
+}
+
+/// Submits `body` and returns the new job's id.
+fn submit(client: &Client, body: &[u8]) -> u64 {
+    let (status, submitted) = client.post_json("/v1/jobs", body).expect("submit");
+    assert_eq!(status, 201, "{}", submitted.to_pretty());
+    submitted.get("id").and_then(Json::as_f64).expect("id") as u64
+}
+
+/// A job that runs for seconds, far longer than any test below holds it:
+/// tests park on it while it is still running, and shutdown interrupts it.
+fn long_job_body() -> Vec<u8> {
+    sample_statuses_body(2000, 200)
+}
+
+fn state_of(doc: &Json) -> &str {
+    doc.get("state").and_then(Json::as_str).unwrap_or("")
+}
+
+#[test]
+fn waited_job_costs_at_most_two_status_requests() {
+    let config = temp_config("longpoll-count");
+    let (addr, handle) = start(&config);
+    let client = Client::new(addr);
+
+    // A job that runs for many poll periods of a sleeping client: the
+    // long-poll is answered when it settles, so the wait is one request
+    // (a second one only after a wait runs out).
+    let id = submit(&client, &sample_statuses_body(800, 100));
+    let done = client
+        .wait_for_job(id, Duration::from_secs(120))
+        .expect("job completes");
+    assert_eq!(state_of(&done), "done");
+    let text = client.metrics().expect("metrics");
+    let polls = metric_value(&text, "diffnet_http_request_seconds_job_status_count");
+    assert!(polls <= 2.0, "{polls} status requests for one job:\n{text}");
+    // A parked poll was answered by the job settling, not by its wait
+    // running out.
+    assert_eq!(
+        counter(&text, "diffnet_http_long_polls_expired"),
+        0.0,
+        "{text}"
+    );
+    // The stage histograms attribute the job's time on the server.
+    assert_eq!(
+        metric_value(&text, "diffnet_job_queue_wait_seconds_count"),
+        1.0
+    );
+    assert_eq!(metric_value(&text, "diffnet_job_run_seconds_count"), 1.0);
+    diffnet_observe::lint_exposition(&text).expect("exposition lints clean");
+
+    shut_down(addr, handle, &config);
+}
+
+#[test]
+fn long_poll_expiry_returns_the_current_nonterminal_state() {
+    let config = temp_config("longpoll-expiry");
+    let (addr, handle) = start(&config);
+    let client = Client::new(addr);
+
+    let id = submit(&client, &long_job_body());
+    for wait in ["1", "0"] {
+        let (status, doc) = client
+            .get_json(&format!("/v1/jobs/{id}?wait_ms={wait}"))
+            .expect("long-poll");
+        assert_eq!(status, 200, "{}", doc.to_pretty());
+        assert!(
+            matches!(state_of(&doc), "queued" | "running"),
+            "{}",
+            doc.to_pretty()
+        );
+        assert_eq!(doc.get("id").and_then(Json::as_f64), Some(id as f64));
+    }
+    // `wait_ms=1` parked and expired; `wait_ms=0` answered inline.
+    let text = client.metrics().expect("metrics");
+    assert_eq!(
+        counter(&text, "diffnet_http_long_polls_parked"),
+        1.0,
+        "{text}"
+    );
+    assert_eq!(
+        counter(&text, "diffnet_http_long_polls_expired"),
+        1.0,
+        "{text}"
+    );
+
+    shut_down(addr, handle, &config);
+}
+
+#[test]
+fn malformed_wait_ms_is_422() {
+    let config = temp_config("longpoll-bad");
+    let (addr, handle) = start(&config);
+    let client = Client::new(addr);
+
+    let id = submit(&client, &sample_statuses_body(40, 8));
+    for bad in ["abc", "-1", "", "1.5", "99999999999999999999999"] {
+        let (status, body) = client
+            .get(&format!("/v1/jobs/{id}?wait_ms={bad}"))
+            .expect("long-poll");
+        let body = String::from_utf8(body).expect("utf8");
+        assert_eq!(status, 422, "wait_ms={bad:?}: {body}");
+        assert!(body.contains("wait_ms"), "{body}");
+    }
+    // Unknown jobs stay 404, whatever the wait.
+    let (status, _) = client.get("/v1/jobs/999?wait_ms=10").expect("missing");
+    assert_eq!(status, 404);
+
+    shut_down(addr, handle, &config);
+}
+
+#[test]
+fn request_pipelined_behind_a_parked_long_poll_is_answered_after_it() {
+    let config = temp_config("longpoll-pipeline");
+    let (addr, handle) = start(&config);
+    let client = Client::new(addr);
+
+    let id = submit(&client, &long_job_body());
+    // The long-poll parks (its job runs for seconds) until its wait
+    // expires; the healthz behind it is answered inline at once but must
+    // not overtake it on the wire.
+    let mut stream = connect(addr);
+    stream
+        .write_all(
+            format!(
+                "GET /v1/jobs/{id}?wait_ms=300 HTTP/1.1\r\nX-Request-Id: rid-wait\r\n\r\n\
+                 GET /v1/healthz HTTP/1.1\r\nX-Request-Id: rid-health\r\n\
+                 Connection: close\r\n\r\n"
+            )
+            .as_bytes(),
+        )
+        .expect("write pipeline");
+    let mut raw = Vec::new();
+    stream.read_to_end(&mut raw).expect("read both answers");
+    let text = String::from_utf8(raw).expect("utf8");
+    assert_eq!(text.matches("HTTP/1.1 200").count(), 2, "{text}");
+    let wait = text
+        .find("X-Request-Id: rid-wait\r\n")
+        .expect("long-poll answer");
+    let health = text
+        .find("X-Request-Id: rid-health\r\n")
+        .expect("healthz answer");
+    assert!(wait < health, "pipelined order broken:\n{text}");
+    assert!(
+        text.contains(r#""state": "queued""#) || text.contains(r#""state": "running""#),
+        "{text}"
+    );
+
+    shut_down(addr, handle, &config);
+}
+
+#[test]
+fn closing_a_parked_connection_leaves_job_and_reactor_healthy() {
+    let config = temp_config("longpoll-close");
+    let (addr, handle) = start(&config);
+    let client = Client::new(addr);
+
+    let id = submit(&client, &long_job_body());
+    let mut stream = connect(addr);
+    stream
+        .write_all(format!("GET /v1/jobs/{id}?wait_ms=30000 HTTP/1.1\r\n\r\n").as_bytes())
+        .expect("write long-poll");
+    await_parked(&client, 1.0);
+    drop(stream);
+
+    // The reactor keeps serving, and the job keeps running: closing a
+    // connection never touches the job it was waiting on.
+    for _ in 0..5 {
+        assert!(client.healthz().expect("healthz after close"));
+    }
+    let (status, doc) = client.get_json(&format!("/v1/jobs/{id}")).expect("status");
+    assert_eq!(status, 200);
+    assert!(
+        matches!(state_of(&doc), "queued" | "running"),
+        "{}",
+        doc.to_pretty()
+    );
+
+    shut_down(addr, handle, &config);
+}
+
+#[test]
+fn shutdown_answers_parked_long_polls_instead_of_waiting_out_the_drain() {
+    let mut config = temp_config("longpoll-drain");
+    // A drain deadline far beyond the test: a parked request that were
+    // held to it would be force-closed without an answer.
+    config.tuning = Tuning {
+        drain_timeout: Duration::from_secs(120),
+        ..Tuning::default()
+    };
+    let (addr, handle) = start(&config);
+    let client = Client::new(addr);
+
+    let id = submit(&client, &long_job_body());
+    let mut stream = connect(addr);
+    stream
+        .write_all(format!("GET /v1/jobs/{id}?wait_ms=30000 HTTP/1.1\r\n\r\n").as_bytes())
+        .expect("write long-poll");
+    await_parked(&client, 1.0);
+    client.shutdown().expect("shutdown");
+
+    // The drain answers the parked request with the job's state as of
+    // now and then closes the connection.
+    let (status, body, keep_alive) = read_framed_response(&mut stream).expect("drained answer");
+    let text = String::from_utf8(body).expect("utf8");
+    assert_eq!(status, 200, "{text}");
+    let doc = diffnet_observe::parse_json(&text).expect("JSON");
+    assert!(matches!(state_of(&doc), "queued" | "running"), "{text}");
+    assert!(!keep_alive, "a drained answer announces the close");
+    let mut rest = Vec::new();
+    stream.read_to_end(&mut rest).expect("EOF after the drain");
+    assert!(rest.is_empty());
+
+    handle.join().expect("join").expect("serve");
+    let _ = std::fs::remove_dir_all(&config.data_dir);
+}
+
+#[test]
+fn wait_for_job_honours_its_deadline() {
+    let config = temp_config("longpoll-deadline");
+    let (addr, handle) = start(&config);
+    let client = Client::new(addr);
+
+    let id = submit(&client, &long_job_body());
+    let deadline = Duration::from_millis(300);
+    let started = Instant::now();
+    let err = client
+        .wait_for_job(id, deadline)
+        .expect_err("the job outlives the deadline");
+    let waited = started.elapsed();
+    assert!(err.to_string().contains("still"), "{err}");
+    // Long-polls are bounded by the time left, and the deadline is
+    // measured on the clock rather than summed from poll periods, so the
+    // call neither gives up early nor keeps waiting on a parked request.
+    assert!(waited >= deadline, "gave up after {waited:?}");
+
+    shut_down(addr, handle, &config);
 }

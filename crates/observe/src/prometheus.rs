@@ -191,6 +191,18 @@ const METRIC_HELP: &[(&str, &str)] = &[
         "Requests answered 429 for exceeding the per-connection in-flight budget.",
     ),
     (
+        "job_input_loads",
+        "Job runs that loaded their input from disk (no resident copy).",
+    ),
+    (
+        "job_input_resident_bytes",
+        "Heap bytes of parsed job inputs kept resident in memory.",
+    ),
+    (
+        "job_input_resident_hits",
+        "Job runs that found their parsed input resident in memory.",
+    ),
+    (
         "job_queue_wait_seconds",
         "Seconds a job waited in the queue, from enqueue to worker claim.",
     ),

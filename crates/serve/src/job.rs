@@ -4,36 +4,50 @@
 //!
 //! ```text
 //! data/job-7/
-//!   job.json         # JobMeta — id, spec, state machine, shape, errors
-//!   statuses.txt     # the uploaded status matrix (tends jobs)
-//!   observations.txt # the uploaded observation set (baseline jobs)
-//!   checkpoint.json  # PR-4 tends checkpoint; the durability log
-//!   append.txt       # appended-only cascades awaiting the warm re-run
-//!   pending-append-N.txt # appends buffered while the job was running
-//!   edges.txt        # inferred edge list, written on completion
-//!   report.json      # RunReport with a `runtime.job` section
+//!   job.json             # JobMeta — id, spec, state, revision, shape, errors
+//!   statuses.txt         # the uploaded input (tends jobs); written once
+//!   observations.txt     # the uploaded observation set (baseline jobs)
+//!   cascades-R.txt       # the cascades applied at revision R (R ≥ 2)
+//!   pending-append-N.txt # an append batch not yet applied
+//!   checkpoint.json      # tends checkpoint; the durability log
+//!   edges.txt            # inferred edge list, written on completion
+//!   report.json          # RunReport with a `runtime.job` section
 //! ```
 //!
-//! `job.json` and every output are written with
-//! [`diffnet_graph::io::save_atomic`] (temp + fsync + rename), so a
-//! `kill -9` at any instant leaves either the old or the new file, never
-//! a torn one. On startup [`JobManager::new`] rescans the data dir:
-//! `queued` jobs are re-enqueued as-is, `running` jobs are re-enqueued
-//! with `resume` semantics — the tends checkpoint restores every node
-//! that completed before the crash, so the finished edge list is
-//! byte-identical to an uninterrupted run.
+//! A tends job's input at revision `r` is `statuses.txt` followed by the
+//! segments `cascades-2.txt ..= cascades-r.txt`. Neither the base file nor
+//! a committed segment is ever rewritten, so an append costs I/O in the
+//! size of its batch, not of the history. `job.json` and every other file
+//! are written with [`diffnet_graph::io::save_atomic`] (temp + fsync +
+//! rename), so a `kill -9` at any instant leaves either the old or the new
+//! file, never a torn one. On startup [`JobManager::new`] rescans the data
+//! dir: `queued` jobs are re-enqueued as-is, `running` jobs are
+//! re-enqueued with `resume` semantics — the tends checkpoint restores
+//! every node that completed before the crash, so the finished edge list
+//! is byte-identical to an uninterrupted run.
 //!
 //! State machine: `queued → running → done | failed | partial`, plus the
 //! transition `running → queued` taken only on disk, implicitly, when the
 //! process dies or shuts down gracefully mid-job (the meta still says
-//! `running`; the rescan treats that as "resume me"). Appending cascades
-//! to a terminal job rewinds it to `queued` with a bumped `revision`; the
-//! checkpoint (which carries the pair-count sufficient statistics) is
-//! kept as the warm state, and the appended rows land in `append.txt` so
-//! the re-run folds them in incrementally instead of re-searching every
-//! node. Appends that arrive while the job is queued or running are
-//! buffered as `pending-append-N.txt` and folded in — one revision bump
-//! per batch — at the next terminal transition.
+//! `running`; the rescan treats that as "resume me"). Appends are first
+//! stored as `pending-append-N.txt`. On a terminal job they are applied
+//! at once; while the job is queued or running they wait for its next
+//! terminal transition. Applying folds every pending batch into one new
+//! segment `cascades-{r+1}.txt`, then commits `revision = r + 1` and the
+//! highest applied `N` to `job.json` and re-queues the job. A segment
+//! numbered above the committed revision is a crash orphan that the next
+//! apply overwrites; a pending batch at or below the committed `N` was
+//! applied by a commit whose cleanup never ran, and the rescan deletes
+//! it instead of applying it twice. The checkpoint (which carries the
+//! pair-count sufficient statistics) is kept as the warm state: the
+//! re-run folds in only the newest segment instead of re-searching every
+//! node.
+//!
+//! The manager also keeps parsed dense inputs resident, keyed by
+//! `(job, revision)` and bounded by [`RESIDENT_INPUT_CAP`] bytes: submit
+//! stores the matrix it parsed, an apply appends the batch's rows to it
+//! in memory, and a run reads its input from disk only on a miss (e.g.
+//! the first run after a restart).
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fs;
@@ -65,7 +79,15 @@ pub const ALGORITHMS: &[&str] = &["tends", "netrate", "multree", "lift", "netinf
 pub const FAULT_JOB_FLUSH: &str = "job_flush";
 
 const META_FORMAT: &str = "diffnet-job";
-const META_VERSION: u64 = 1;
+/// Version 2: the input is `statuses.txt` plus per-revision segments, and
+/// `applied_pending` records the last applied append batch. Version-1
+/// directories (one rewritten `statuses.txt`) are rejected, not misread.
+const META_VERSION: u64 = 2;
+
+/// Byte cap on the parsed inputs a [`JobManager`] keeps resident. A packed
+/// row costs one bit per cell against two bytes of text, so a
+/// 22,600 × 1,000 history is 2.9 MB here against 45 MB on disk.
+pub const RESIDENT_INPUT_CAP: usize = 64 << 20;
 
 /// Where a job is in its lifecycle.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -224,6 +246,9 @@ pub struct JobMeta {
     pub revision: u64,
     /// Processes (cascades) in the current input.
     pub processes: usize,
+    /// Sequence number of the last `pending-append-N.txt` batch folded
+    /// into the input (0 = none yet); later batches are still pending.
+    pub applied_pending: u64,
     /// Nodes in the current input.
     pub nodes: usize,
     /// Nodes whose search failed on the last completed run.
@@ -240,6 +265,7 @@ impl JobMeta {
             state: JobState::Queued,
             revision: 1,
             processes,
+            applied_pending: 0,
             nodes,
             failed_nodes: Vec::new(),
             error: None,
@@ -270,6 +296,7 @@ impl JobMeta {
         root.push("state", self.state.as_str());
         root.push("revision", self.revision);
         root.push("processes", self.processes);
+        root.push("applied_pending", self.applied_pending);
         root.push("nodes", self.nodes);
         root.push("failed_nodes", self.failed_nodes.as_slice());
         if let Some(e) = &self.error {
@@ -335,6 +362,7 @@ impl JobMeta {
             state,
             revision: num(root, "revision")?,
             processes: num(root, "processes")? as usize,
+            applied_pending: num(root, "applied_pending")?,
             nodes: num(root, "nodes")? as usize,
             failed_nodes,
             error: root.get("error").and_then(Json::as_str).map(String::from),
@@ -390,6 +418,74 @@ struct ManagerState {
     next_id: u64,
 }
 
+/// One job's parsed dense input at one revision.
+struct ResidentInput {
+    id: u64,
+    revision: u64,
+    statuses: Arc<StatusMatrix>,
+    /// Rows of the newest segment, the warm re-run's delta (0 at
+    /// revision 1, which has no segment).
+    delta_rows: usize,
+}
+
+/// The resident inputs, least recently used first. Holds at most one
+/// revision per job: a job only ever runs at its current revision.
+struct ResidentInputs {
+    entries: VecDeque<ResidentInput>,
+    bytes: usize,
+    /// Byte cap ([`RESIDENT_INPUT_CAP`] outside tests).
+    cap: usize,
+}
+
+impl ResidentInputs {
+    fn new(cap: usize) -> ResidentInputs {
+        ResidentInputs {
+            entries: VecDeque::new(),
+            bytes: 0,
+            cap,
+        }
+    }
+
+    /// The input of job `id` at `revision`, marked most recently used.
+    fn get(&mut self, id: u64, revision: u64) -> Option<&ResidentInput> {
+        let at = self
+            .entries
+            .iter()
+            .position(|e| e.id == id && e.revision == revision)?;
+        let hit = self.entries.remove(at)?;
+        self.entries.push_back(hit);
+        self.entries.back()
+    }
+
+    /// Drops every revision of job `id`, returning the one at `revision`.
+    fn take(&mut self, id: u64, revision: u64) -> Option<ResidentInput> {
+        let (mine, rest) = std::mem::take(&mut self.entries)
+            .into_iter()
+            .partition::<Vec<_>, _>(|e| e.id == id);
+        self.entries = rest.into();
+        self.bytes -= mine.iter().map(|e| e.statuses.heap_bytes()).sum::<usize>();
+        mine.into_iter().find(|e| e.revision == revision)
+    }
+
+    /// Stores `input` as the most recently used entry in place of any
+    /// other revision of its job, evicting from the cold end until the cap
+    /// holds. An input over the cap on its own is not kept. (A stored
+    /// matrix is never mutated, so its size stays what was charged.)
+    fn insert(&mut self, input: ResidentInput) {
+        self.take(input.id, input.revision);
+        let bytes = input.statuses.heap_bytes();
+        if bytes > self.cap {
+            return;
+        }
+        while self.bytes + bytes > self.cap {
+            let cold = self.entries.pop_front().expect("bytes > 0 implies entries");
+            self.bytes -= cold.statuses.heap_bytes();
+        }
+        self.bytes += bytes;
+        self.entries.push_back(input);
+    }
+}
+
 /// Called with a job's id after each of its terminal transitions.
 type SettleHook = Box<dyn Fn(u64) + Send + Sync>;
 
@@ -408,6 +504,9 @@ pub struct JobManager {
     max_queued: AtomicUsize,
     /// See [`JobManager::set_settle_hook`].
     settle_hook: OnceLock<SettleHook>,
+    /// Parsed dense inputs (see the module docs). Lock order: `state`
+    /// before `resident`.
+    resident: Mutex<ResidentInputs>,
 }
 
 impl JobManager {
@@ -452,6 +551,9 @@ impl JobManager {
                 )));
             }
             next_id = next_id.max(id + 1);
+            // Drop batches a committed apply folded in before it could
+            // delete them.
+            unapplied_pending(&entry.path(), meta.applied_pending);
             match meta.state {
                 JobState::Queued => queue.push_back((id, Instant::now())),
                 JobState::Running => {
@@ -480,6 +582,7 @@ impl JobManager {
             workers: Mutex::new(Vec::new()),
             max_queued: AtomicUsize::new(usize::MAX),
             settle_hook: OnceLock::new(),
+            resident: Mutex::new(ResidentInputs::new(RESIDENT_INPUT_CAP)),
         });
         // Appends buffered by a previous process: terminal jobs fold them
         // in now; queued/running jobs fold them in when they next finish.
@@ -570,20 +673,20 @@ impl JobManager {
                 ));
             }
         }
-        let (processes, nodes) = if spec.takes_statuses() {
+        let (processes, nodes, statuses) = if spec.takes_statuses() {
             let m = read_status_matrix(body)
                 .map_err(|e| JobError::new(422, format!("bad status matrix: {e}")))?;
             if m.num_processes() == 0 || m.num_nodes() == 0 {
                 return Err(JobError::new(422, "status matrix is empty"));
             }
-            (m.num_processes(), m.num_nodes())
+            (m.num_processes(), m.num_nodes(), Some(m))
         } else {
             let obs = read_observations(body)
                 .map_err(|e| JobError::new(422, format!("bad observations: {e}")))?;
             if obs.num_processes() == 0 || obs.num_nodes() == 0 {
                 return Err(JobError::new(422, "observation set is empty"));
             }
-            (obs.num_processes(), obs.num_nodes())
+            (obs.num_processes(), obs.num_nodes(), None)
         };
 
         let mut st = self.state.lock().expect("state lock");
@@ -604,6 +707,10 @@ impl JobManager {
                 live: None,
             },
         );
+        // Streamed jobs read their input column-wise from disk instead.
+        if let Some(m) = statuses.filter(|_| !meta.spec.is_streamed()) {
+            self.keep_resident(id, 1, Arc::new(m), 0);
+        }
         st.queue.push_back((id, Instant::now()));
         self.rec.add("jobs_submitted", 1);
         drop(st);
@@ -613,16 +720,15 @@ impl JobManager {
 
     /// Appends cascades (extra status rows) to a tends job.
     ///
-    /// On a terminal job the append is applied immediately: the combined
-    /// matrix replaces `statuses.txt`, the appended-only rows land in
-    /// `append.txt`, the checkpoint is *kept* (it carries the pair-count
-    /// sufficient statistics the warm re-run folds onto), `revision` is
-    /// bumped, and the job re-queues for incremental re-estimation.
-    ///
-    /// While the job is queued or running the append is buffered on disk
-    /// (`pending-append-N.txt`) instead of returning `409`; every
-    /// buffered batch is folded in — with a single revision bump — at
-    /// the next terminal transition. Returns the job meta plus whether
+    /// The batch is first stored as `pending-append-N.txt`. On a terminal
+    /// job it is applied at once (see `apply_pending_locked`): it becomes
+    /// the segment of the bumped revision, the checkpoint is *kept* (it
+    /// carries the pair-count sufficient statistics the warm re-run folds
+    /// onto), and the job re-queues for incremental re-estimation. While
+    /// the job is queued or running the batch stays pending instead of
+    /// returning `409`; every pending batch is folded in — with a single
+    /// revision bump — at the next terminal transition. Either way the
+    /// I/O is in the size of the batch. Returns the job meta plus whether
     /// the append was buffered.
     pub fn append_cascades(&self, id: u64, body: &[u8]) -> Result<(JobMeta, bool), JobError> {
         let appended = read_status_matrix(body)
@@ -670,7 +776,7 @@ impl JobManager {
         // Persist the batch before acknowledging: buffered appends must
         // survive a process restart just like every other transition.
         let dir = self.job_dir(id);
-        let seq = next_pending_seq(&dir);
+        let seq = next_pending_seq(&dir, entry.meta.applied_pending);
         save_status_matrix(&appended, dir.join(pending_name(seq)))
             .map_err(|e| JobError::new(500, format!("cannot store appended cascades: {e}")))?;
         self.rec
@@ -685,56 +791,139 @@ impl JobManager {
         Ok((meta, false))
     }
 
-    /// Folds every buffered append batch into the job input, bumps the
-    /// revision once, and re-queues. The caller holds the state lock and
-    /// has checked the job is terminal. The checkpoint file survives —
-    /// it is the warm state [`run_tends`](Self::run_tends) resumes from.
+    /// Folds every pending append batch into the job input as the
+    /// segment of the next revision, commits that revision, and
+    /// re-queues. The caller holds the state lock and has checked the job
+    /// is terminal. The checkpoint file survives — it is the warm state
+    /// [`run_tends`](Self::run_tends) resumes from.
     fn apply_pending_locked(&self, st: &mut ManagerState, id: u64) -> Result<JobMeta, JobError> {
         let dir = self.job_dir(id);
-        let pending = pending_paths(&dir);
         let entry = st
             .jobs
             .get_mut(&id)
             .ok_or_else(|| JobError::new(404, format!("no job {id}")))?;
-        if pending.is_empty() {
+        let pending = unapplied_pending(&dir, entry.meta.applied_pending);
+        let Some(&(last_seq, _)) = pending.last() else {
             return Ok(entry.meta.clone());
-        }
-        let existing = load_status_matrix(dir.join("statuses.txt"))
-            .map_err(|e| JobError::new(500, format!("cannot reload job input: {e}")))?;
+        };
         let mut batch: Option<StatusMatrix> = None;
-        for path in &pending {
+        for (_, path) in &pending {
             let m = load_status_matrix(path)
                 .map_err(|e| JobError::new(500, format!("cannot reload pending append: {e}")))?;
-            batch = Some(match batch {
-                None => m,
-                Some(b) => concat_statuses(&b, &m),
-            });
+            if m.num_nodes() != entry.meta.nodes {
+                return Err(JobError::new(
+                    500,
+                    format!("pending append {path:?} covers {} nodes", m.num_nodes()),
+                ));
+            }
+            match &mut batch {
+                None => batch = Some(m),
+                Some(b) => b.append_rows(&m),
+            }
         }
         let batch = batch.expect("pending is non-empty");
-        let combined = concat_statuses(&existing, &batch);
-        // `append.txt` is the warm path's delta input: exactly the rows
-        // not yet folded into the checkpoint's sufficient statistics.
-        save_status_matrix(&batch, dir.join("append.txt"))
+
+        // The segment lands before the commit; a crash in between leaves
+        // an orphan above the committed revision, which the next apply
+        // overwrites.
+        let revision = entry.meta.revision + 1;
+        save_status_matrix(&batch, dir.join(segment_name(revision)))
             .map_err(|e| JobError::new(500, format!("cannot store appended cascades: {e}")))?;
-        save_status_matrix(&combined, dir.join("statuses.txt"))
-            .map_err(|e| JobError::new(500, format!("cannot store combined input: {e}")))?;
+        let mut meta = entry.meta.clone();
+        meta.processes += batch.num_processes();
+        meta.revision = revision;
+        meta.applied_pending = last_seq;
+        meta.state = JobState::Queued;
+        meta.failed_nodes.clear();
+        meta.error = None;
+        // `job.json` is the commit point. Until it lands the job is
+        // unchanged and the batches stay pending; once it has, the
+        // recorded `applied_pending` keeps them from being applied again
+        // even if the cleanup below never runs.
+        self.save_meta(&meta)
+            .map_err(|e| JobError::new(500, format!("cannot persist job: {e}")))?;
+        entry.meta = meta.clone();
         for stale in ["edges.txt", "report.json"] {
             let _ = fs::remove_file(dir.join(stale));
         }
-
-        entry.meta.processes = combined.num_processes();
-        entry.meta.revision += 1;
-        entry.meta.state = JobState::Queued;
-        entry.meta.failed_nodes.clear();
-        entry.meta.error = None;
-        let meta = entry.meta.clone();
-        self.save_meta(&meta)
-            .map_err(|e| JobError::new(500, format!("cannot persist job: {e}")))?;
-        for path in pending {
+        for (_, path) in pending {
             let _ = fs::remove_file(path);
         }
+        // Grow the resident input in memory; with none resident the next
+        // run loads the input from disk.
+        let mut resident = self.resident.lock().expect("resident lock");
+        if let Some(mut input) = resident.take(id, revision - 1) {
+            Arc::make_mut(&mut input.statuses).append_rows(&batch);
+            input.revision = revision;
+            input.delta_rows = batch.num_processes();
+            resident.insert(input);
+        }
+        self.rec
+            .value("job_input_resident_bytes", resident.bytes as f64);
+        drop(resident);
         st.queue.push_back((id, Instant::now()));
         Ok(meta)
+    }
+
+    /// Stores job `id`'s parsed input at `revision` (see
+    /// [`ResidentInputs::insert`]).
+    fn keep_resident(
+        &self,
+        id: u64,
+        revision: u64,
+        statuses: Arc<StatusMatrix>,
+        delta_rows: usize,
+    ) {
+        let mut resident = self.resident.lock().expect("resident lock");
+        resident.insert(ResidentInput {
+            id,
+            revision,
+            statuses,
+            delta_rows,
+        });
+        self.rec
+            .value("job_input_resident_bytes", resident.bytes as f64);
+    }
+
+    /// A dense job's input at its current revision, plus the row count of
+    /// its newest segment: the resident copy when there is one, else
+    /// `statuses.txt` and the segments `2..=revision` loaded from disk
+    /// (and then kept resident).
+    fn job_input(&self, meta: &JobMeta) -> Result<(Arc<StatusMatrix>, usize), String> {
+        if let Some(hit) = self
+            .resident
+            .lock()
+            .expect("resident lock")
+            .get(meta.id, meta.revision)
+        {
+            self.rec.add("job_input_resident_hits", 1);
+            return Ok((Arc::clone(&hit.statuses), hit.delta_rows));
+        }
+        self.rec.add("job_input_loads", 1);
+        let dir = self.job_dir(meta.id);
+        let mut statuses = load_status_matrix(dir.join("statuses.txt"))
+            .map_err(|e| format!("cannot load statuses: {e}"))?;
+        let mut delta_rows = 0;
+        for revision in 2..=meta.revision {
+            let name = segment_name(revision);
+            let segment = load_status_matrix(dir.join(&name))
+                .map_err(|e| format!("cannot load {name}: {e}"))?;
+            if segment.num_nodes() != statuses.num_nodes() {
+                return Err(format!("{name} covers {} nodes", segment.num_nodes()));
+            }
+            delta_rows = segment.num_processes();
+            statuses.append_rows(&segment);
+        }
+        if statuses.num_processes() != meta.processes {
+            return Err(format!(
+                "job input holds {} processes, job.json records {}",
+                statuses.num_processes(),
+                meta.processes
+            ));
+        }
+        let statuses = Arc::new(statuses);
+        self.keep_resident(meta.id, meta.revision, Arc::clone(&statuses), delta_rows);
+        Ok((statuses, delta_rows))
     }
 
     /// The job's current meta plus, while running, a live progress
@@ -887,9 +1076,10 @@ impl JobManager {
                 // Cascades appended mid-run were buffered; fold them in
                 // (one revision bump for the whole batch) and re-queue.
                 let mut st = self.state.lock().expect("state lock");
-                if !pending_paths(&self.job_dir(id)).is_empty()
-                    && self.apply_pending_locked(&mut st, id).is_ok()
-                {
+                if matches!(
+                    self.apply_pending_locked(&mut st, id),
+                    Ok(applied) if applied.revision > meta.revision
+                ) {
                     drop(st);
                     self.available.notify_one();
                 }
@@ -940,51 +1130,45 @@ impl JobManager {
             };
             Tends::with_config(cfg).reconstruct_robust_from_columns(&cols, rec, &options)
         } else {
-            let statuses = {
+            let (statuses, appended) = {
                 let _p = rec.phase("load_statuses");
-                match load_status_matrix(dir.join("statuses.txt")) {
-                    Ok(m) => m,
-                    Err(e) => return Outcome::failed(format!("cannot load statuses: {e}")),
-                }
+                let (statuses, delta_rows) = match self.job_input(meta) {
+                    Ok(input) => input,
+                    Err(e) => return Outcome::failed(e),
+                };
+                // Past revision 1 the newest segment is the delta the
+                // warm path folds into the checkpointed statistics.
+                let beta = statuses.num_processes();
+                let appended = (meta.revision > 1 && checkpoint.exists())
+                    .then(|| statuses.rows_slice(beta - delta_rows..beta));
+                (statuses, appended)
             };
             let cfg = TendsConfig {
                 threads: meta.spec.threads,
                 ..TendsConfig::default()
             };
             let tends = Tends::with_config(cfg);
-            let append_input = dir.join("append.txt");
-            if append_input.exists() && checkpoint.exists() {
+            match appended {
                 // Warm path: fold only the appended rows into the
                 // checkpointed sufficient statistics and re-search only
-                // the dirty nodes. Byte-identical to a fresh run over
+                // the dirty nodes (a checkpoint already at this revision
+                // is a plain resume). Byte-identical to a fresh run over
                 // the combined matrix, so a failure to warm-start
                 // (foreign, stale, or corrupt checkpoint) just drops the
                 // checkpoint and falls back to the full re-run.
-                match load_status_matrix(&append_input) {
-                    Ok(appended) => {
-                        match tends.reconstruct_robust_append(&statuses, &appended, rec, &options) {
-                            Ok(p) => {
-                                let _ = fs::remove_file(&append_input);
-                                Ok(p)
-                            }
-                            Err(e) => {
-                                self.rec.add("append_cold_fallbacks", 1);
-                                rec.add("append_cold_fallbacks", 1);
-                                eprintln!(
-                                    "job {}: warm append failed ({e}); re-running from scratch",
-                                    meta.id
-                                );
-                                let _ = fs::remove_file(&checkpoint);
-                                let _ = fs::remove_file(&append_input);
-                                tends.reconstruct_robust(&statuses, rec, &options)
-                            }
-                        }
-                    }
-                    Err(e) => return Outcome::failed(format!("cannot load appended rows: {e}")),
-                }
-            } else {
-                let _ = fs::remove_file(&append_input);
-                tends.reconstruct_robust(&statuses, rec, &options)
+                Some(appended) => tends
+                    .reconstruct_robust_append(&statuses, &appended, rec, &options)
+                    .or_else(|e| {
+                        self.rec.add("append_cold_fallbacks", 1);
+                        rec.add("append_cold_fallbacks", 1);
+                        eprintln!(
+                            "job {}: warm append failed ({e}); re-running from scratch",
+                            meta.id
+                        );
+                        let _ = fs::remove_file(&checkpoint);
+                        tends.reconstruct_robust(&statuses, rec, &options)
+                    }),
+                None => tends.reconstruct_robust(&statuses, rec, &options),
             }
         };
         let partial = match run {
@@ -1130,16 +1314,24 @@ fn pending_name(seq: u64) -> String {
     format!("pending-append-{seq:06}.txt")
 }
 
-/// Buffered append batches in arrival order (the zero-padded sequence
-/// number makes lexicographic order arrival order).
-fn pending_paths(dir: &Path) -> Vec<PathBuf> {
+/// The input segment holding the cascades applied at `revision` (≥ 2).
+fn segment_name(revision: u64) -> String {
+    format!("cascades-{revision}.txt")
+}
+
+/// Pending append batches as `(sequence number, path)`, in arrival order.
+fn pending_paths(dir: &Path) -> Vec<(u64, PathBuf)> {
     let mut out = Vec::new();
     if let Ok(entries) = fs::read_dir(dir) {
         for entry in entries.flatten() {
             let name = entry.file_name();
-            let Some(name) = name.to_str() else { continue };
-            if name.starts_with("pending-append-") && name.ends_with(".txt") {
-                out.push(entry.path());
+            let seq = name
+                .to_str()
+                .and_then(|n| n.strip_prefix("pending-append-"))
+                .and_then(|n| n.strip_suffix(".txt"))
+                .and_then(|n| n.parse::<u64>().ok());
+            if let Some(seq) = seq {
+                out.push((seq, entry.path()));
             }
         }
     }
@@ -1147,42 +1339,27 @@ fn pending_paths(dir: &Path) -> Vec<PathBuf> {
     out
 }
 
-fn next_pending_seq(dir: &Path) -> u64 {
-    pending_paths(dir)
-        .iter()
-        .filter_map(|p| {
-            p.file_name()?
-                .to_str()?
-                .strip_prefix("pending-append-")?
-                .strip_suffix(".txt")?
-                .parse::<u64>()
-                .ok()
-        })
-        .max()
-        .map_or(1, |max| max + 1)
+/// The pending batches above `applied`. Those at or below it were folded
+/// in by a committed apply whose cleanup never ran (a crash or an I/O
+/// error after the `job.json` write); they are deleted, not returned.
+fn unapplied_pending(dir: &Path, applied: u64) -> Vec<(u64, PathBuf)> {
+    let (stale, fresh): (Vec<_>, Vec<_>) = pending_paths(dir)
+        .into_iter()
+        .partition(|&(seq, _)| seq <= applied);
+    for (_, path) in stale {
+        let _ = fs::remove_file(path);
+    }
+    fresh
 }
 
-/// Row-wise concatenation of two status matrices with equal node counts.
-fn concat_statuses(a: &StatusMatrix, b: &StatusMatrix) -> StatusMatrix {
-    debug_assert_eq!(a.num_nodes(), b.num_nodes());
-    let n = a.num_nodes();
-    let beta = a.num_processes() + b.num_processes();
-    let mut out = StatusMatrix::new(beta, n);
-    for l in 0..a.num_processes() {
-        for i in 0..n {
-            if a.get(l, i as u32) {
-                out.set(l, i as u32);
-            }
-        }
-    }
-    for l in 0..b.num_processes() {
-        for i in 0..n {
-            if b.get(l, i as u32) {
-                out.set(a.num_processes() + l, i as u32);
-            }
-        }
-    }
-    out
+/// The sequence number for the next pending batch: past every batch on
+/// disk and every batch ever applied, so a new batch is never mistaken
+/// for an applied one.
+fn next_pending_seq(dir: &Path, applied: u64) -> u64 {
+    pending_paths(dir)
+        .last()
+        .map_or(applied, |&(seq, _)| seq.max(applied))
+        + 1
 }
 
 /// Renders the wire form of a job's status for `GET /v1/jobs/{id}`.
@@ -1253,6 +1430,13 @@ mod tests {
             rows.push(row);
         }
         StatusMatrix::from_rows(&rows)
+    }
+
+    /// Row-wise concatenation: the input of a fresh combined submission.
+    fn concat_statuses(a: &StatusMatrix, b: &StatusMatrix) -> StatusMatrix {
+        let mut out = a.clone();
+        out.append_rows(b);
+        out
     }
 
     fn statuses_bytes(m: &StatusMatrix) -> Vec<u8> {
@@ -1742,6 +1926,238 @@ mod tests {
         let done = wait_terminal(&m, 1);
         assert_eq!(done.state, JobState::Done);
         m.shutdown_and_join();
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    fn counter(m: &JobManager, name: &str) -> u64 {
+        m.rec.snapshot().counters.get(name).copied().unwrap_or(0)
+    }
+
+    /// Waits for a terminal state with no append batch left pending.
+    fn wait_settled(m: &JobManager, id: u64) -> JobMeta {
+        for _ in 0..600 {
+            let meta = wait_terminal(m, id);
+            if pending_paths(&m.job_dir(id)).is_empty() {
+                return meta;
+            }
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        panic!("job {id} never settled");
+    }
+
+    #[test]
+    fn apply_failing_after_its_commit_is_not_applied_twice() {
+        let dir = tmp_dir("apply-commit-fault");
+        let first = sample_statuses(30, 8);
+        let more = sample_statuses(10, 8);
+        {
+            // `job_flush` hits: submit, claim, done, then the apply's
+            // commit. The 4th fails after `job.json` is written: the
+            // window where the batch is committed but still pending.
+            let m = JobManager::new(
+                &dir,
+                1,
+                Arc::new(AtomicBool::new(false)),
+                Arc::new(Recorder::new()),
+                Arc::new(FaultPlan::new().io_error(FAULT_JOB_FLUSH, 4)),
+            )
+            .expect("manager");
+            m.submit(JobSpec::default(), &statuses_bytes(&first))
+                .expect("submit");
+            wait_terminal(&m, 1);
+            let err = m
+                .append_cascades(1, &statuses_bytes(&more))
+                .expect_err("injected fault");
+            assert_eq!(err.status, 500);
+            m.shutdown_and_join();
+        }
+        let (m, _) = manager(&dir);
+        let done = wait_settled(&m, 1);
+        assert_eq!(done.state, JobState::Done);
+        assert_eq!(done.processes, 40, "the batch is applied exactly once");
+        assert_eq!(done.revision, 2);
+        let fresh = m
+            .submit(
+                JobSpec::default(),
+                &statuses_bytes(&concat_statuses(&first, &more)),
+            )
+            .expect("submit combined");
+        wait_terminal(&m, fresh.id);
+        assert_eq!(
+            m.read_output(1, "edges.txt").expect("edges"),
+            m.read_output(fresh.id, "edges.txt").expect("edges"),
+        );
+        m.shutdown_and_join();
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn statuses_txt_is_written_once_across_appends() {
+        use std::os::unix::fs::MetadataExt;
+        let dir = tmp_dir("write-once");
+        let (m, _) = manager(&dir);
+        let mut combined = sample_statuses(30, 8);
+        m.submit(JobSpec::default(), &statuses_bytes(&combined))
+            .expect("submit");
+        wait_terminal(&m, 1);
+        let base = m.job_dir(1).join("statuses.txt");
+        let bytes = fs::read(&base).expect("read base");
+        let inode = fs::metadata(&base).expect("stat base").ino();
+        for (revision, beta) in [(2, 6), (3, 4), (4, 9)] {
+            let more = sample_statuses(beta, 8);
+            m.append_cascades(1, &statuses_bytes(&more))
+                .expect("append");
+            combined = concat_statuses(&combined, &more);
+            let done = wait_terminal(&m, 1);
+            assert_eq!((done.state, done.revision), (JobState::Done, revision));
+            assert_eq!(fs::read(&base).expect("read base"), bytes);
+            assert_eq!(fs::metadata(&base).expect("stat base").ino(), inode);
+            let segment = m.job_dir(1).join(segment_name(revision));
+            assert_eq!(
+                load_status_matrix(segment).expect("segment"),
+                more,
+                "revision {revision}'s segment holds exactly its batch"
+            );
+        }
+        let fresh = m
+            .submit(JobSpec::default(), &statuses_bytes(&combined))
+            .expect("submit combined");
+        wait_terminal(&m, fresh.id);
+        assert_eq!(
+            m.read_output(1, "edges.txt").expect("edges"),
+            m.read_output(fresh.id, "edges.txt").expect("edges"),
+        );
+        m.shutdown_and_join();
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// The report minus its runtime section.
+    fn deterministic_report(m: &JobManager, id: u64) -> String {
+        let bytes = m.read_output(id, "report.json").expect("report");
+        let mut json = parse_json(std::str::from_utf8(&bytes).expect("utf8")).expect("json");
+        json.remove("runtime");
+        json.to_pretty()
+    }
+
+    #[test]
+    fn resident_and_reloaded_warm_runs_are_byte_identical() {
+        let first = sample_statuses(30, 8);
+        let more = sample_statuses(10, 8);
+        let hits = "job_input_resident_hits";
+        let loads = "job_input_loads";
+
+        // Resident: submit keeps the parsed matrix, the apply grows it in
+        // memory, and the warm run reads it without touching the disk.
+        let dir_a = tmp_dir("resident");
+        let (a, _) = manager(&dir_a);
+        a.submit(JobSpec::default(), &statuses_bytes(&first))
+            .expect("submit");
+        wait_terminal(&a, 1);
+        let (hits0, loads0) = (counter(&a, hits), counter(&a, loads));
+        a.append_cascades(1, &statuses_bytes(&more))
+            .expect("append");
+        assert_eq!(wait_terminal(&a, 1).revision, 2);
+        assert_eq!(counter(&a, hits) - hits0, 1, "the warm run is a hit");
+        assert_eq!(counter(&a, loads) - loads0, 0, "and loads nothing");
+
+        // Reloaded: the batch is still pending when the process stops, so
+        // the warm run after the restart loads base + segment from disk.
+        let dir_b = tmp_dir("reloaded");
+        {
+            let (b, _) = manager(&dir_b);
+            b.submit(JobSpec::default(), &statuses_bytes(&first))
+                .expect("submit");
+            wait_terminal(&b, 1);
+            b.state
+                .lock()
+                .expect("state lock")
+                .jobs
+                .get_mut(&1)
+                .expect("job")
+                .meta
+                .state = JobState::Running;
+            let (_, buffered) = b
+                .append_cascades(1, &statuses_bytes(&more))
+                .expect("append");
+            assert!(buffered);
+            b.shutdown_and_join();
+        }
+        let (b, _) = manager(&dir_b);
+        assert_eq!(wait_terminal(&b, 1).revision, 2);
+        assert_eq!(counter(&b, loads), 1, "the first run after a restart loads");
+        assert_eq!(counter(&b, hits), 0);
+
+        assert_eq!(
+            a.read_output(1, "edges.txt").expect("edges"),
+            b.read_output(1, "edges.txt").expect("edges"),
+        );
+        assert_eq!(deterministic_report(&a, 1), deterministic_report(&b, 1));
+        let gauge = |m: &JobManager| {
+            m.rec
+                .snapshot()
+                .values
+                .get("job_input_resident_bytes")
+                .copied()
+        };
+        assert!(gauge(&a).is_some_and(|v| v > 0.0));
+        for m in [a, b] {
+            m.shutdown_and_join();
+        }
+        let _ = fs::remove_dir_all(&dir_a);
+        let _ = fs::remove_dir_all(&dir_b);
+    }
+
+    #[test]
+    fn resident_inputs_evict_least_recently_used_under_the_cap() {
+        let input = |id, revision, beta| ResidentInput {
+            id,
+            revision,
+            statuses: Arc::new(StatusMatrix::new(beta, 64)),
+            delta_rows: 0,
+        };
+        // One word per row at n = 64: a β-row input costs 8β bytes.
+        let mut resident = ResidentInputs::new(8 * 100);
+        resident.insert(input(1, 1, 40));
+        resident.insert(input(2, 1, 40));
+        assert!(resident.get(1, 1).is_some(), "touch job 1");
+        resident.insert(input(3, 1, 40));
+        assert!(
+            resident.get(2, 1).is_none(),
+            "job 2 was least recently used"
+        );
+        assert!(resident.get(1, 1).is_some() && resident.get(3, 1).is_some());
+        // A new revision replaces the old one of the same job.
+        resident.insert(input(1, 2, 50));
+        assert!(resident.get(1, 1).is_none() && resident.get(1, 2).is_some());
+        assert_eq!(resident.bytes, 8 * 90);
+        // An input over the cap on its own is not kept.
+        resident.insert(input(4, 1, 101));
+        assert!(resident.get(4, 1).is_none());
+        assert_eq!(resident.bytes, 8 * 90);
+    }
+
+    #[test]
+    fn version_1_job_dirs_are_rejected() {
+        let mut v1 = JobMeta::new(1, JobSpec::default(), 4, 3).to_json();
+        v1.remove("version");
+        v1.push("version", 1u64);
+        let err = JobMeta::from_json(&v1).unwrap_err();
+        assert!(err.contains("unsupported diffnet-job version 1"), "{err}");
+
+        let dir = tmp_dir("v1");
+        fs::create_dir_all(dir.join("job-1")).expect("job dir");
+        fs::write(dir.join("job-1").join("job.json"), v1.to_pretty()).expect("write v1");
+        let err = JobManager::new(
+            &dir,
+            1,
+            Arc::new(AtomicBool::new(false)),
+            Arc::new(Recorder::new()),
+            Arc::new(FaultPlan::disabled()),
+        )
+        .err()
+        .expect("a v1 data dir is refused");
+        assert!(err.to_string().contains("unsupported"), "{err}");
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -687,6 +687,58 @@ mod tests {
     }
 
     #[test]
+    fn metrics_expose_job_input_residency() {
+        let config = temp_config("residency");
+        let (addr, handle) = start(&config);
+        let client = crate::client::Client::new(addr);
+        let rows = |beta: usize| {
+            let mut text = format!("# diffnet status matrix: {beta} processes x 4 nodes\n");
+            for l in 0..beta {
+                let row: Vec<&str> = (0..4)
+                    .map(|i| if (l + i) % 3 == 0 { "1" } else { "0" })
+                    .collect();
+                text.push_str(&row.join(" "));
+                text.push('\n');
+            }
+            text.into_bytes()
+        };
+        let (status, _) = client.post_json("/v1/jobs", &rows(20)).expect("submit");
+        assert_eq!(status, 201);
+        client
+            .wait_for_job(1, Duration::from_secs(30))
+            .expect("base run");
+        let (status, _) = client
+            .post_json("/v1/jobs/1/cascades", &rows(5))
+            .expect("append");
+        assert_eq!(status, 200);
+        let done = client
+            .wait_for_job(1, Duration::from_secs(30))
+            .expect("warm run");
+        assert_eq!(done.get("revision").and_then(Json::as_f64), Some(2.0));
+
+        let text = client.metrics().expect("metrics");
+        // Submit and apply keep the input resident: both runs are hits.
+        assert!(
+            text.contains("\ndiffnet_job_input_resident_hits 2\n"),
+            "{text}"
+        );
+        assert!(!text.contains("diffnet_job_input_loads"), "{text}");
+        assert!(
+            text.contains(
+                "# HELP diffnet_job_input_resident_bytes Heap bytes of parsed job inputs"
+            ),
+            "{text}"
+        );
+        assert!(
+            text.contains("# TYPE diffnet_job_input_resident_bytes gauge"),
+            "{text}"
+        );
+        diffnet_observe::lint_exposition(&text).expect("live exposition lints clean");
+
+        shut_down(addr, handle, &config);
+    }
+
+    #[test]
     fn hostile_requests_get_typed_errors_not_hangs() {
         let mut config = temp_config("hostile");
         config.limits = Limits {

@@ -124,21 +124,40 @@ pub fn write_status_matrix<W: Write>(m: &StatusMatrix, mut w: W) -> io::Result<(
 }
 
 /// Reads a status matrix written by [`write_status_matrix`].
+///
+/// Bits go straight into packed row words as each line is tokenized, so
+/// the only allocation that grows with the input is the result itself.
+/// Accepts optional `# diffnet status matrix: {β} processes x {n} nodes`
+/// headers and `#` comments; errors are typed: `Io` for read failures and
+/// invalid UTF-8, `Parse` for bad tokens and rows whose width disagrees
+/// with the header or the first row, `Truncated` (with a byte offset) when
+/// the header declares more rows than the input holds.
 pub fn read_status_matrix<R: Read>(r: R) -> Result<StatusMatrix, ObservationIoError> {
-    let mut rows: Vec<Vec<bool>> = Vec::new();
+    let mut words: Vec<u64> = Vec::new();
+    // One row's bits, grown as tokens arrive: a hostile header can never
+    // size an allocation.
+    let mut row: Vec<u64> = Vec::new();
     let mut declared: Option<(usize, usize)> = None;
+    let mut width: Option<usize> = None;
+    let mut rows = 0usize;
     let mut buf = BufReader::new(r);
-    let mut line = String::new();
+    let mut raw = Vec::new();
     let mut offset = 0usize;
     let mut lineno = 0usize;
     loop {
-        line.clear();
-        let read = buf.read_line(&mut line)?;
+        raw.clear();
+        let read = buf.read_until(b'\n', &mut raw)?;
         if read == 0 {
             break;
         }
         offset += read;
         lineno += 1;
+        let line = std::str::from_utf8(&raw).map_err(|_| {
+            io::Error::new(
+                io::ErrorKind::InvalidData,
+                "stream did not contain valid UTF-8",
+            )
+        })?;
         let t = line.trim();
         if t.is_empty() || t.starts_with('#') {
             if declared.is_none() {
@@ -146,36 +165,92 @@ pub fn read_status_matrix<R: Read>(r: R) -> Result<StatusMatrix, ObservationIoEr
             }
             continue;
         }
-        let row: Result<Vec<bool>, _> = t
-            .split_whitespace()
-            .map(|tok| match tok {
-                "0" => Ok(false),
-                "1" => Ok(true),
-                other => Err(parse_err(lineno, format!("expected 0/1, got {other:?}"))),
-            })
-            .collect();
-        let row = row?;
-        let expected_width = declared.map(|(_, n)| n).or(rows.first().map(Vec::len));
-        if let Some(width) = expected_width {
-            if width != row.len() {
+        row.clear();
+        let found = fill_row(t, lineno, &mut row)?;
+        for expected in [declared.map(|(_, n)| n), width].into_iter().flatten() {
+            if found != expected {
                 return Err(parse_err(
                     lineno,
-                    format!("row has {} entries, expected {}", row.len(), width),
+                    format!("row has {found} entries, expected {expected}"),
                 ));
             }
         }
-        rows.push(row);
+        // `found ≥ 1` (the trimmed line is not empty), so `row` holds
+        // exactly the row's ⌈n/64⌉ words.
+        width = Some(found);
+        words.extend_from_slice(&row);
+        rows += 1;
     }
     if let Some((beta, _)) = declared {
-        if rows.len() < beta {
+        if rows < beta {
             return Err(ObservationIoError::Truncated {
                 expected: beta,
-                found: rows.len(),
+                found: rows,
                 offset,
             });
         }
     }
-    Ok(StatusMatrix::from_rows(&rows))
+    Ok(match width {
+        Some(n) => StatusMatrix::from_packed(rows, n, words),
+        None => StatusMatrix::new(0, 0),
+    })
+}
+
+/// Packs one row's `0`/`1` tokens into `row` (token `i` is bit `i`) and
+/// returns the token count. ASCII rows — every row a writer produces —
+/// are scanned byte by byte, a word at a time; anything else goes through
+/// [`str::split_whitespace`], whose separators include Unicode spaces.
+fn fill_row(t: &str, lineno: usize, row: &mut Vec<u64>) -> Result<usize, ObservationIoError> {
+    let bad_token = |tok: &str| parse_err(lineno, format!("expected 0/1, got {tok:?}"));
+    let mut i = 0usize;
+    let mut word = 0u64;
+    if t.is_ascii() {
+        // `char::is_whitespace` restricted to ASCII (unlike
+        // `u8::is_ascii_whitespace`, it includes `\x0B`).
+        let is_sep = |b: u8| matches!(b, b' ' | b'\t' | b'\n' | 0x0B | 0x0C | b'\r');
+        let bytes = t.as_bytes();
+        let mut k = 0usize;
+        while k < bytes.len() {
+            let c = bytes[k];
+            if is_sep(c) {
+                k += 1;
+                continue;
+            }
+            // A valid token is one digit followed by a separator or the
+            // end of the row.
+            let start = k;
+            k += 1;
+            if !matches!(c, b'0' | b'1') || bytes.get(k).is_some_and(|&b| !is_sep(b)) {
+                while k < bytes.len() && !is_sep(bytes[k]) {
+                    k += 1;
+                }
+                return Err(bad_token(&t[start..k]));
+            }
+            word |= u64::from(c & 1) << (i % 64);
+            i += 1;
+            if i.is_multiple_of(64) {
+                row.push(word);
+                word = 0;
+            }
+        }
+    } else {
+        for tok in t.split_whitespace() {
+            match tok {
+                "0" => {}
+                "1" => word |= 1u64 << (i % 64),
+                other => return Err(bad_token(other)),
+            }
+            i += 1;
+            if i.is_multiple_of(64) {
+                row.push(word);
+                word = 0;
+            }
+        }
+    }
+    if !i.is_multiple_of(64) {
+        row.push(word);
+    }
+    Ok(i)
 }
 
 /// Saves a status matrix to a file via an atomic temp-then-rename write.
@@ -449,6 +524,172 @@ pub fn load_observations<P: AsRef<Path>>(path: P) -> Result<ObservationSet, Obse
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The row-of-bools parser [`read_status_matrix`] replaced, kept as its
+    /// oracle. Rows narrower or wider than the first row are a `Parse` error
+    /// even when they match a header that arrives after it.
+    fn read_status_matrix_reference<R: Read>(r: R) -> Result<StatusMatrix, ObservationIoError> {
+        let mut rows: Vec<Vec<bool>> = Vec::new();
+        let mut declared: Option<(usize, usize)> = None;
+        let mut buf = BufReader::new(r);
+        let mut line = String::new();
+        let mut offset = 0usize;
+        let mut lineno = 0usize;
+        loop {
+            line.clear();
+            let read = buf.read_line(&mut line)?;
+            if read == 0 {
+                break;
+            }
+            offset += read;
+            lineno += 1;
+            let t = line.trim();
+            if t.is_empty() || t.starts_with('#') {
+                if declared.is_none() {
+                    declared = parse_header_counts(t, "diffnet status matrix");
+                }
+                continue;
+            }
+            let row: Result<Vec<bool>, _> = t
+                .split_whitespace()
+                .map(|tok| match tok {
+                    "0" => Ok(false),
+                    "1" => Ok(true),
+                    other => Err(parse_err(lineno, format!("expected 0/1, got {other:?}"))),
+                })
+                .collect();
+            let row = row?;
+            let widths = [declared.map(|(_, n)| n), rows.first().map(Vec::len)];
+            for width in widths.into_iter().flatten() {
+                if width != row.len() {
+                    return Err(parse_err(
+                        lineno,
+                        format!("row has {} entries, expected {}", row.len(), width),
+                    ));
+                }
+            }
+            rows.push(row);
+        }
+        if let Some((beta, _)) = declared {
+            if rows.len() < beta {
+                return Err(ObservationIoError::Truncated {
+                    expected: beta,
+                    found: rows.len(),
+                    offset,
+                });
+            }
+        }
+        Ok(StatusMatrix::from_rows(&rows))
+    }
+
+    /// Equal `Ok` values, or errors of the same variant at the same place.
+    fn same_outcome(
+        got: &Result<StatusMatrix, ObservationIoError>,
+        want: &Result<StatusMatrix, ObservationIoError>,
+    ) -> bool {
+        use ObservationIoError::*;
+        match (got, want) {
+            (Ok(a), Ok(b)) => a == b,
+            (Err(Io(a)), Err(Io(b))) => a.kind() == b.kind(),
+            (Err(Parse { line: a, .. }), Err(Parse { line: b, .. })) => a == b,
+            (Err(a @ Truncated { .. }), Err(b @ Truncated { .. })) => {
+                a.to_string() == b.to_string()
+            }
+            _ => false,
+        }
+    }
+
+    /// Bytes that steer mutations into every parser branch: digits, bad
+    /// tokens, ASCII separators (incl. `\x0B`), comments, a UTF-8 no-break
+    /// space (Unicode whitespace) and a byte that is never valid UTF-8.
+    const MUTATIONS: &[u8] = b"0011 \t\n\r\x0b\x0c#2x\xc2\xa0\xff";
+
+    fn mutated_canonical(seed: u64) -> Vec<u8> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (beta, n) = (rng.gen_range(0usize..6), rng.gen_range(1usize..70));
+        let mut m = StatusMatrix::new(beta, n);
+        for l in 0..beta {
+            for i in 0..n as NodeId {
+                if rng.gen_bool(0.4) {
+                    m.set(l, i);
+                }
+            }
+        }
+        let mut bytes = Vec::new();
+        write_status_matrix(&m, &mut bytes).expect("write");
+        for _ in 0..rng.gen_range(0usize..4) {
+            if bytes.is_empty() {
+                break;
+            }
+            let at = rng.gen_range(0..bytes.len());
+            let b = MUTATIONS[rng.gen_range(0..MUTATIONS.len())];
+            match rng.gen_range(0u32..4) {
+                0 => bytes[at] = b,
+                1 => {
+                    bytes.remove(at);
+                }
+                2 => bytes.insert(at, b),
+                _ => bytes.truncate(at),
+            }
+        }
+        bytes
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        // The packed parser agrees with the row-of-bools oracle on bytes
+        // with no structure at all...
+        #[test]
+        fn packed_parser_matches_oracle_on_arbitrary_bytes(
+            bytes in proptest::collection::vec(any::<u8>(), 0..256)
+        ) {
+            let got = read_status_matrix(bytes.as_slice());
+            let want = read_status_matrix_reference(bytes.as_slice());
+            prop_assert!(same_outcome(&got, &want), "{:?} vs {:?}", got, want);
+        }
+
+        // ...and on near-valid files, where the shape checks, header
+        // handling and truncation offsets matter.
+        #[test]
+        fn packed_parser_matches_oracle_on_mutated_matrices(seed in any::<u64>()) {
+            let bytes = mutated_canonical(seed);
+            let got = read_status_matrix(bytes.as_slice());
+            let want = read_status_matrix_reference(bytes.as_slice());
+            prop_assert!(same_outcome(&got, &want), "{:?} vs {:?}", got, want);
+        }
+    }
+
+    #[test]
+    fn header_after_rows_cannot_change_the_width() {
+        // The first row fixes the width; a later header declaring another
+        // one makes every following row a typed error, never a panic.
+        for text in [
+            "0 1\n# diffnet status matrix: 2 processes x 3 nodes\n0 1 0\n",
+            "0 1\n# diffnet status matrix: 2 processes x 3 nodes\n0 1\n",
+        ] {
+            for got in [
+                read_status_matrix(text.as_bytes()),
+                read_status_matrix_reference(text.as_bytes()),
+            ] {
+                assert!(
+                    matches!(got, Err(ObservationIoError::Parse { line: 3, .. })),
+                    "{got:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn unicode_whitespace_separates_tokens() {
+        let m = read_status_matrix("1\u{a0}0 1\n".as_bytes()).expect("parse");
+        assert_eq!((m.num_processes(), m.num_nodes()), (1, 3));
+        assert!(m.get(0, 0) && !m.get(0, 1) && m.get(0, 2));
+    }
 
     fn sample_obs() -> ObservationSet {
         use crate::{EdgeProbs, IcConfig, IndependentCascade};

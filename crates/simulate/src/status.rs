@@ -97,6 +97,56 @@ impl StatusMatrix {
         m
     }
 
+    /// Wraps already-packed row words (`beta` rows of `words_per_row`
+    /// words each, bits past `n` clear) — the parser's output.
+    pub(crate) fn from_packed(beta: usize, n: usize, rows: Vec<u64>) -> Self {
+        let words_per_row = n.div_ceil(WORD_BITS).max(1);
+        debug_assert_eq!(rows.len(), beta * words_per_row);
+        StatusMatrix {
+            beta,
+            n,
+            words_per_row,
+            rows,
+        }
+    }
+
+    /// Appends `other`'s processes below this matrix's, one word copy per
+    /// packed word: the cost is the appended rows, not the history.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the node counts differ.
+    pub fn append_rows(&mut self, other: &StatusMatrix) {
+        assert_eq!(
+            self.n, other.n,
+            "appended rows cover a different node count"
+        );
+        self.rows.extend_from_slice(&other.rows);
+        self.beta += other.beta;
+    }
+
+    /// A copy of the processes in `range` (row order kept).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `range` reaches past `β`.
+    pub fn rows_slice(&self, range: std::ops::Range<usize>) -> StatusMatrix {
+        assert!(range.start <= range.end && range.end <= self.beta);
+        let w = self.words_per_row;
+        StatusMatrix {
+            beta: range.len(),
+            n: self.n,
+            words_per_row: w,
+            rows: self.rows[range.start * w..range.end * w].to_vec(),
+        }
+    }
+
+    /// Heap bytes held by the packed rows (one bit per cell, rounded up
+    /// to whole words per row, plus any spare capacity).
+    pub fn heap_bytes(&self) -> usize {
+        self.rows.capacity() * std::mem::size_of::<u64>()
+    }
+
     /// Number of processes `β`.
     #[inline]
     pub fn num_processes(&self) -> usize {
@@ -858,6 +908,58 @@ mod tests {
             vec![false, false, false],
             vec![true, true, true],
         ])
+    }
+
+    /// Per-bit oracle for [`StatusMatrix::append_rows`].
+    fn concat_per_bit(a: &StatusMatrix, b: &StatusMatrix) -> StatusMatrix {
+        let n = a.num_nodes();
+        let mut out = StatusMatrix::new(a.num_processes() + b.num_processes(), n);
+        for (offset, m) in [(0, a), (a.num_processes(), b)] {
+            for l in 0..m.num_processes() {
+                for i in 0..n as NodeId {
+                    if m.get(l, i) {
+                        out.set(offset + l, i);
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    fn patterned(beta: usize, n: usize, salt: u64) -> StatusMatrix {
+        let mut m = StatusMatrix::new(beta, n);
+        for l in 0..beta {
+            for i in 0..n {
+                let h = (l as u64 * 0x9e37_79b9 + i as u64 * 0x85eb_ca6b + salt)
+                    .wrapping_mul(0xc2b2_ae35);
+                if h >> 61 & 1 == 1 {
+                    m.set(l, i as NodeId);
+                }
+            }
+        }
+        m
+    }
+
+    #[test]
+    fn append_rows_matches_per_bit_oracle() {
+        for n in [1usize, 63, 64, 65, 1000] {
+            for (beta_a, beta_b) in [(0, 3), (5, 0), (7, 4), (1, 1)] {
+                let a = patterned(beta_a, n, 1);
+                let b = patterned(beta_b, n, 2);
+                let mut got = a.clone();
+                got.append_rows(&b);
+                assert_eq!(got, concat_per_bit(&a, &b), "n={n} β={beta_a}+{beta_b}");
+                // The tail slice gives the appended rows back.
+                assert_eq!(got.rows_slice(beta_a..beta_a + beta_b), b);
+                assert_eq!(got.rows_slice(0..beta_a), a);
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "different node count")]
+    fn append_rows_rejects_other_widths() {
+        StatusMatrix::new(2, 5).append_rows(&StatusMatrix::new(1, 6));
     }
 
     #[test]

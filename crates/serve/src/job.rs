@@ -46,8 +46,9 @@
 //! The manager also keeps parsed dense inputs resident, keyed by
 //! `(job, revision)` and bounded by [`RESIDENT_INPUT_CAP`] bytes: submit
 //! stores the matrix it parsed, an apply appends the batch's rows to it
-//! in memory, and a run reads its input from disk only on a miss (e.g.
-//! the first run after a restart).
+//! in memory, and a run reads its input from disk only on a miss: the
+//! first run after a restart, an input evicted from the LRU, or one
+//! larger than the cap on its own.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fs;
@@ -2100,7 +2101,10 @@ mod tests {
                 .get("job_input_resident_bytes")
                 .copied()
         };
-        assert!(gauge(&a).is_some_and(|v| v > 0.0));
+        // 40 rows of one word each, charged without spare capacity on both
+        // paths: grown in memory by the apply, or loaded from disk.
+        assert_eq!(gauge(&a), Some(40.0 * 8.0));
+        assert_eq!(gauge(&b), Some(40.0 * 8.0));
         for m in [a, b] {
             m.shutdown_and_join();
         }

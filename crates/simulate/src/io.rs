@@ -197,54 +197,20 @@ pub fn read_status_matrix<R: Read>(r: R) -> Result<StatusMatrix, ObservationIoEr
 }
 
 /// Packs one row's `0`/`1` tokens into `row` (token `i` is bit `i`) and
-/// returns the token count. ASCII rows — every row a writer produces —
-/// are scanned byte by byte, a word at a time; anything else goes through
-/// [`str::split_whitespace`], whose separators include Unicode spaces.
+/// returns the token count.
 fn fill_row(t: &str, lineno: usize, row: &mut Vec<u64>) -> Result<usize, ObservationIoError> {
-    let bad_token = |tok: &str| parse_err(lineno, format!("expected 0/1, got {tok:?}"));
     let mut i = 0usize;
     let mut word = 0u64;
-    if t.is_ascii() {
-        // `char::is_whitespace` restricted to ASCII (unlike
-        // `u8::is_ascii_whitespace`, it includes `\x0B`).
-        let is_sep = |b: u8| matches!(b, b' ' | b'\t' | b'\n' | 0x0B | 0x0C | b'\r');
-        let bytes = t.as_bytes();
-        let mut k = 0usize;
-        while k < bytes.len() {
-            let c = bytes[k];
-            if is_sep(c) {
-                k += 1;
-                continue;
-            }
-            // A valid token is one digit followed by a separator or the
-            // end of the row.
-            let start = k;
-            k += 1;
-            if !matches!(c, b'0' | b'1') || bytes.get(k).is_some_and(|&b| !is_sep(b)) {
-                while k < bytes.len() && !is_sep(bytes[k]) {
-                    k += 1;
-                }
-                return Err(bad_token(&t[start..k]));
-            }
-            word |= u64::from(c & 1) << (i % 64);
-            i += 1;
-            if i.is_multiple_of(64) {
-                row.push(word);
-                word = 0;
-            }
+    for tok in t.split_whitespace() {
+        match tok {
+            "0" => {}
+            "1" => word |= 1u64 << (i % 64),
+            other => return Err(parse_err(lineno, format!("expected 0/1, got {other:?}"))),
         }
-    } else {
-        for tok in t.split_whitespace() {
-            match tok {
-                "0" => {}
-                "1" => word |= 1u64 << (i % 64),
-                other => return Err(bad_token(other)),
-            }
-            i += 1;
-            if i.is_multiple_of(64) {
-                row.push(word);
-                word = 0;
-            }
+        i += 1;
+        if i.is_multiple_of(64) {
+            row.push(word);
+            word = 0;
         }
     }
     if !i.is_multiple_of(64) {
@@ -682,6 +648,17 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn parsed_matrix_holds_exactly_its_packed_words() {
+        let mut m = StatusMatrix::new(300, 65);
+        m.set(299, 64);
+        let mut bytes = Vec::new();
+        write_status_matrix(&m, &mut bytes).expect("write");
+        let got = read_status_matrix(bytes.as_slice()).expect("parse");
+        assert_eq!(got, m);
+        assert_eq!(got.heap_bytes(), 300 * 2 * 8);
     }
 
     #[test]

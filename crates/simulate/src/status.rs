@@ -99,9 +99,10 @@ impl StatusMatrix {
 
     /// Wraps already-packed row words (`beta` rows of `words_per_row`
     /// words each, bits past `n` clear) — the parser's output.
-    pub(crate) fn from_packed(beta: usize, n: usize, rows: Vec<u64>) -> Self {
+    pub(crate) fn from_packed(beta: usize, n: usize, mut rows: Vec<u64>) -> Self {
         let words_per_row = n.div_ceil(WORD_BITS).max(1);
         debug_assert_eq!(rows.len(), beta * words_per_row);
+        rows.shrink_to_fit();
         StatusMatrix {
             beta,
             n,
@@ -111,7 +112,9 @@ impl StatusMatrix {
     }
 
     /// Appends `other`'s processes below this matrix's, one word copy per
-    /// packed word: the cost is the appended rows, not the history.
+    /// packed word: the cost is the appended rows, not the history. The
+    /// rows grow to exactly their new length, so no spare capacity builds
+    /// up across appends.
     ///
     /// # Panics
     ///
@@ -121,6 +124,7 @@ impl StatusMatrix {
             self.n, other.n,
             "appended rows cover a different node count"
         );
+        self.rows.reserve_exact(other.rows.len());
         self.rows.extend_from_slice(&other.rows);
         self.beta += other.beta;
     }
@@ -141,8 +145,10 @@ impl StatusMatrix {
         }
     }
 
-    /// Heap bytes held by the packed rows (one bit per cell, rounded up
-    /// to whole words per row, plus any spare capacity).
+    /// Heap bytes held by the packed rows: one bit per cell, rounded up
+    /// to whole words per row. Every constructor and
+    /// [`append_rows`](Self::append_rows) allocate exactly that, so the
+    /// figure carries no spare capacity.
     pub fn heap_bytes(&self) -> usize {
         self.rows.capacity() * std::mem::size_of::<u64>()
     }
@@ -949,6 +955,8 @@ mod tests {
                 let mut got = a.clone();
                 got.append_rows(&b);
                 assert_eq!(got, concat_per_bit(&a, &b), "n={n} β={beta_a}+{beta_b}");
+                // No spare capacity is charged after an append.
+                assert_eq!(got.heap_bytes(), (beta_a + beta_b) * n.div_ceil(64) * 8);
                 // The tail slice gives the appended rows back.
                 assert_eq!(got.rows_slice(beta_a..beta_a + beta_b), b);
                 assert_eq!(got.rows_slice(0..beta_a), a);

@@ -289,11 +289,21 @@ fn main() {
     // IMI matrix at the large size, 1 vs 8 threads.
     eprintln!("perf_report: IMI matrix (n={n_large})");
     let imi_1 = median_secs(reps, || {
-        CorrelationMatrix::compute_parallel(&large_cols, CorrelationMeasure::Imi, 1)
+        CorrelationMatrix::compute_observed(
+            &large_cols,
+            CorrelationMeasure::Imi,
+            1,
+            Recorder::disabled(),
+        )
     });
     let imi_8 = multi_core.then(|| {
         median_secs(reps, || {
-            CorrelationMatrix::compute_parallel(&large_cols, CorrelationMeasure::Imi, 8)
+            CorrelationMatrix::compute_observed(
+                &large_cols,
+                CorrelationMeasure::Imi,
+                8,
+                Recorder::disabled(),
+            )
         })
     });
 

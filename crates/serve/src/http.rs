@@ -19,11 +19,10 @@
 //! bytes buffered so far it either produces one parsed request plus the
 //! byte count it consumed (pipelined requests parse one at a time from
 //! the same buffer), asks for more bytes, or rejects with a typed error.
-//! The epoll reactor drives it directly from readiness events; the
-//! blocking [`read_request`] used by tests is a thin loop around it.
+//! The epoll reactor drives it directly from readiness events.
 
 use std::fmt;
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::time::Duration;
 
 /// The request methods the job API serves.
@@ -318,37 +317,6 @@ pub fn parse_buffered(buf: &[u8], limits: &Limits) -> Result<Parsed, HttpError> 
     })
 }
 
-/// Reads one request from `stream`, enforcing `limits` — the blocking
-/// wrapper around [`parse_buffered`] used by the unit tests and any
-/// one-shot tooling. Bytes past the first request's declared length are
-/// rejected (this entry point does not pipeline).
-pub fn read_request<S: Read>(stream: &mut S, limits: &Limits) -> Result<Request, HttpError> {
-    let mut buf: Vec<u8> = Vec::with_capacity(512);
-    let mut chunk = [0u8; 8 * 1024];
-    loop {
-        match parse_buffered(&buf, limits)? {
-            Parsed::Complete { request, consumed } => {
-                if buf.len() > consumed {
-                    return Err(HttpError::Malformed(format!(
-                        "{} bytes past the declared Content-Length",
-                        buf.len() - consumed
-                    )));
-                }
-                return Ok(request);
-            }
-            Parsed::NeedMore => {}
-        }
-        let read = stream.read(&mut chunk)?;
-        if read == 0 {
-            if buf.is_empty() {
-                return Err(HttpError::Malformed("empty request".to_string()));
-            }
-            return Err(truncation_error(&buf));
-        }
-        buf.extend_from_slice(&chunk[..read]);
-    }
-}
-
 /// The typed error for a connection that hit EOF with a partial request
 /// still buffered: a half-sent head is `Malformed`, a half-sent body is
 /// `TruncatedBody` with the declared-vs-received counts. Shared by the
@@ -527,6 +495,37 @@ pub fn configure_stream(stream: &std::net::TcpStream) -> io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::Read;
+
+    /// Reads one request from `stream`, enforcing `limits` — a blocking
+    /// loop around [`parse_buffered`]. Bytes past the first request's
+    /// declared length are rejected (this reader does not pipeline).
+    fn read_request<S: Read>(stream: &mut S, limits: &Limits) -> Result<Request, HttpError> {
+        let mut buf: Vec<u8> = Vec::with_capacity(512);
+        let mut chunk = [0u8; 8 * 1024];
+        loop {
+            match parse_buffered(&buf, limits)? {
+                Parsed::Complete { request, consumed } => {
+                    if buf.len() > consumed {
+                        return Err(HttpError::Malformed(format!(
+                            "{} bytes past the declared Content-Length",
+                            buf.len() - consumed
+                        )));
+                    }
+                    return Ok(request);
+                }
+                Parsed::NeedMore => {}
+            }
+            let read = stream.read(&mut chunk)?;
+            if read == 0 {
+                if buf.is_empty() {
+                    return Err(HttpError::Malformed("empty request".to_string()));
+                }
+                return Err(truncation_error(&buf));
+            }
+            buf.extend_from_slice(&chunk[..read]);
+        }
+    }
 
     fn parse(raw: &[u8]) -> Result<Request, HttpError> {
         read_request(&mut io::Cursor::new(raw.to_vec()), &Limits::default())

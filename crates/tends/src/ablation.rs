@@ -2,8 +2,9 @@
 
 use crate::imi::CorrelationMatrix;
 use crate::kmeans::pinned_two_means;
-use crate::{TendsConfig, ThresholdMode};
+use crate::TendsConfig;
 use diffnet_graph::{DiGraph, GraphBuilder, NodeId};
+use diffnet_observe::Recorder;
 use diffnet_simulate::StatusMatrix;
 
 /// "TENDS minus the scoring criterion": connect every node pair whose
@@ -17,13 +18,15 @@ use diffnet_simulate::StatusMatrix;
 pub fn correlation_threshold_baseline(statuses: &StatusMatrix, config: &TendsConfig) -> DiGraph {
     let n = statuses.num_nodes();
     let cols = statuses.columns();
-    let corr = CorrelationMatrix::compute_parallel(&cols, config.correlation, config.threads);
-    let kmeans = pinned_two_means(&corr.upper_triangle());
-    let tau = match config.threshold {
-        ThresholdMode::Auto => kmeans.tau,
-        ThresholdMode::Fixed(t) => t,
-        ThresholdMode::ScaledAuto(s) => kmeans.tau * s,
-    };
+    let corr = CorrelationMatrix::compute_observed(
+        &cols,
+        config.correlation,
+        config.threads,
+        Recorder::disabled(),
+    );
+    let tau = config
+        .threshold
+        .resolve(pinned_two_means(&corr.upper_triangle()).tau);
 
     let mut b = GraphBuilder::new(n);
     for i in 0..n as NodeId {
@@ -39,7 +42,7 @@ pub fn correlation_threshold_baseline(statuses: &StatusMatrix, config: &TendsCon
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Tends;
+    use crate::{Tends, ThresholdMode};
     use diffnet_metrics::EdgeSetComparison;
     use diffnet_simulate::{EdgeProbs, IcConfig, IndependentCascade};
     use rand::rngs::StdRng;

@@ -34,6 +34,18 @@ pub enum ThresholdMode {
     ScaledAuto(f64),
 }
 
+impl ThresholdMode {
+    /// The applied τ given the pinned 2-means τ of the run's pair values —
+    /// the one place the mode is resolved.
+    pub fn resolve(self, auto_tau: f64) -> f64 {
+        match self {
+            ThresholdMode::Auto => auto_tau,
+            ThresholdMode::Fixed(t) => t,
+            ThresholdMode::ScaledAuto(s) => auto_tau * s,
+        }
+    }
+}
+
 /// How inferred edge directions are post-processed.
 ///
 /// Final infection statuses carry no directional information *within* a
@@ -363,25 +375,31 @@ impl Tends {
     /// Incremental re-estimation after a cascade append: folds the
     /// appended processes into the checkpointed sufficient statistics,
     /// recomputes τ and every candidate set, and re-runs the parent search
-    /// only for *dirty* nodes — those whose ranked candidate list changed
-    /// or whose joint table was not persisted. Clean nodes are *replayed*:
-    /// the persisted joint contingency table plus a delta table counted
-    /// from the appended columns alone reproduce the combined-matrix
-    /// search bit-for-bit (see [`JointTable`]), so edges, scores, and τ
-    /// are byte-identical to [`reconstruct_robust`](Self::reconstruct_robust)
-    /// over the combined matrix at every thread count and SIMD tier —
-    /// while replay cost is independent of how many processes history
-    /// already holds.
+    /// only for *dirty* nodes. A node is clean when its freshly derived
+    /// candidate list equals the one its checkpointed search ran over, a
+    /// joint table was persisted for it, and that table plus a delta table
+    /// counted from the appended columns alone has exactly the marginals
+    /// of the post-append statistics (`β`, the child's ones count, and
+    /// `n11` against every candidate); a table that fails the check — a
+    /// corrupted entry — is dirty, not an error. Clean nodes are
+    /// *replayed* from the merged table, which reproduces the
+    /// combined-matrix search bit-for-bit (see [`JointTable`]), so edges,
+    /// scores, and τ are byte-identical to
+    /// [`reconstruct_robust`](Self::reconstruct_robust) over the combined
+    /// matrix at every thread count and SIMD tier — while replay cost is
+    /// independent of how many processes history already holds.
     ///
     /// `combined` must contain exactly the base run's processes plus the
     /// `appended` processes (row order is irrelevant: every statistic is a
     /// function of the row multiset). `options.revision` must be the
     /// *bumped* revision (checkpoint revision + 1) and `options.checkpoint`
-    /// must name the base run's checkpoint, which is replaced atomically by
-    /// the post-append checkpoint on success. If the file already carries
-    /// the bumped revision (a crash after the append finished its
-    /// checkpoint but before the caller recorded completion), the call
-    /// degrades to a plain resume of the combined run.
+    /// must name the base run's checkpoint. The post-append run
+    /// checkpoints like any other: its header (new revision, combined
+    /// statistics) atomically replaces the file, then completed nodes
+    /// append as delta records. If the file already carries the bumped
+    /// revision — an append interrupted after that header landed, by a
+    /// crash or by cancellation — the call is a plain resume of the
+    /// combined run.
     ///
     /// Replayed nodes report zero score-cache activity (the replay is
     /// cacheless); every other search counter matches the fresh run.
@@ -405,20 +423,17 @@ impl Tends {
             self.config.memory_budget.is_none() && self.config.shard.is_none(),
             "incremental append is a dense-path operation; callers reject streamed configs",
         );
-        let path = options.checkpoint.clone().ok_or_else(|| {
+        let path = options.checkpoint.as_ref().ok_or_else(|| {
             CheckpointError::Format("incremental append requires a checkpoint file".into())
         })?;
-        let ck = Checkpoint::load(&path)?;
+        let ck = Checkpoint::load(path)?;
         if ck.revision == options.revision {
-            // The previous attempt already folded this append into the
-            // checkpoint before being interrupted: plain resume.
+            // The previous attempt already wrote this append's header
+            // before being interrupted: plain resume.
             let opts = RobustOptions {
-                checkpoint: Some(path),
+                checkpoint: options.checkpoint.clone(),
                 resume: true,
-                checkpoint_interval: options.checkpoint_interval,
-                fault: options.fault,
-                cancel: options.cancel,
-                revision: options.revision,
+                ..*options
             };
             return self.reconstruct_robust(combined, rec, &opts);
         }
@@ -461,76 +476,35 @@ impl Tends {
         };
 
         // The statistics' integrity was already established when
-        // `Checkpoint::load` re-verified their content digest, so the
-        // warm path spends no `O(n²)` pipeline work validating the past:
-        // per-node splicing below still compares every persisted
-        // candidate list against the freshly derived one, which is the
-        // check correctness actually rests on. A checkpoint from a
-        // different search configuration simply fails those comparisons
-        // node by node and degrades to a full re-search.
-
-        // Fold the appended processes into the sufficient statistics —
-        // work proportional to the new columns only — and derive the
-        // post-append correlation matrix from the updated counts.
-        let corr = {
-            let _p = rec.phase("stats_append");
-            stats.append(&appended_cols, self.config.threads);
-            if rec.is_enabled() {
-                rec.add("append_processes", appended_cols.num_processes() as u64);
-            }
-            stats.correlation(self.config.correlation)
-        };
-
-        // τ and candidate sets over the combined statistics, exactly as
-        // the dense pipeline computes them.
-        let (kmeans, tau) = {
-            let _p = rec.phase("threshold");
-            let kmeans = pinned_two_means(&corr.upper_triangle());
-            let tau = match self.config.threshold {
-                ThresholdMode::Auto => kmeans.tau,
-                ThresholdMode::Fixed(t) => t,
-                ThresholdMode::ScaledAuto(s) => kmeans.tau * s,
+        // `Checkpoint::load` re-verified their content digest, so the warm
+        // path spends no `O(n²)` pipeline work validating the past. Fold
+        // the appended processes in — work proportional to the new columns
+        // only — and derive the post-append correlation matrix from the
+        // updated counts.
+        let stage = {
+            let corr = {
+                let _p = rec.phase("stats_append");
+                stats.append(&appended_cols, self.config.threads);
+                if rec.is_enabled() {
+                    rec.add("append_processes", appended_cols.num_processes() as u64);
+                }
+                stats.correlation(self.config.correlation)
             };
-            (kmeans, tau)
+            self.threshold_and_candidates(&corr, rec)
         };
-        if rec.is_enabled() {
-            rec.value("tau", tau);
-            rec.value("tau_unscaled", kmeans.tau);
-            let above = corr.upper_triangle().iter().filter(|&&v| v > tau).count();
-            rec.add("pairs_above_tau", above as u64);
-        }
-
-        let candidates: Vec<Vec<NodeId>> = {
-            let _p = rec.phase("candidate_pruning");
-            (0..n)
-                .map(|i| {
-                    candidate_parents(&corr, i as NodeId, tau, self.config.search.max_candidates)
-                })
-                .collect()
+        let warm = Warm {
+            entries: &ck.entries,
+            appended: &appended_cols,
+            stats: &stats,
         };
-        if rec.is_enabled() {
-            for cands in &candidates {
-                rec.histogram("candidate_set_size", cands.len());
-            }
-        }
-
-        let outcome = {
-            let _p = rec.phase("parent_search");
-            self.append_search(
-                &candidates,
-                &combined_cols,
-                &appended_cols,
-                &ck,
-                &stats,
-                tau,
-                rec,
-                _p.span_id(),
-                options,
-                &path,
-            )?
-        };
-
-        Ok(self.assemble_dense(n, tau, kmeans, outcome, rec))
+        self.run_stage(
+            stage,
+            Some(stats.clone()),
+            &combined_cols,
+            Some(warm),
+            rec,
+            options,
+        )
     }
 
     /// [`reconstruct_robust`](Self::reconstruct_robust) starting from the
@@ -541,9 +515,9 @@ impl Tends {
     ///
     /// Dispatches on the config: with
     /// [`memory_budget`](TendsConfig::memory_budget) or
-    /// [`shard`](TendsConfig::shard) set it runs the streamed
-    /// sparse-candidate pipeline (phases `tau_sample`, `streamed_fold`);
-    /// otherwise the dense matrix pipeline, unchanged.
+    /// [`shard`](TendsConfig::shard) set, τ and the candidates come from
+    /// the streamed sparse-candidate fold (phases `tau_sample`,
+    /// `streamed_fold`); otherwise from the dense correlation matrix.
     pub fn reconstruct_robust_from_columns(
         &self,
         cols: &NodeColumns,
@@ -553,59 +527,50 @@ impl Tends {
         if self.config.memory_budget.is_some() || self.config.shard.is_some() {
             return self.reconstruct_streamed(cols, rec, options);
         }
-        let n = cols.num_nodes();
 
-        // Lines 2–4: pairwise correlation values.
-        // With checkpointing enabled the same tiled pass also captures the
-        // pairwise sufficient statistics (β, per-node ones, upper-triangle
-        // n11) that make later cascade appends incremental; both variants
+        // Lines 2–4: pairwise correlation values. With checkpointing
+        // enabled the same tiled pass also captures the pairwise
+        // sufficient statistics (β, per-node ones, upper-triangle n11)
+        // that make later cascade appends incremental; both variants
         // produce bit-identical matrices.
-        let (corr, stats) = {
-            let _p = rec.phase("correlation_matrix");
-            if options.checkpoint.is_some() {
-                let (corr, stats) = CorrelationMatrix::compute_observed_with_stats(
-                    cols,
-                    self.config.correlation,
-                    self.config.threads,
-                    rec,
-                );
-                (corr, Some(stats))
-            } else {
-                let corr = CorrelationMatrix::compute_observed(
-                    cols,
-                    self.config.correlation,
-                    self.config.threads,
-                    rec,
-                );
-                (corr, None)
-            }
-        };
-
-        // Line 5: threshold via pinned 2-means over non-negative values.
-        let (kmeans, tau) = {
-            let _p = rec.phase("threshold");
-            let kmeans = pinned_two_means(&corr.upper_triangle());
-            let tau = match self.config.threshold {
-                ThresholdMode::Auto => kmeans.tau,
-                ThresholdMode::Fixed(t) => t,
-                ThresholdMode::ScaledAuto(s) => kmeans.tau * s,
+        let (stage, stats) = {
+            let (corr, stats) = {
+                let _p = rec.phase("correlation_matrix");
+                let (measure, threads) = (self.config.correlation, self.config.threads);
+                if options.checkpoint.is_some() {
+                    let (corr, stats) =
+                        CorrelationMatrix::compute_observed_with_stats(cols, measure, threads, rec);
+                    (corr, Some(stats))
+                } else {
+                    let corr = CorrelationMatrix::compute_observed(cols, measure, threads, rec);
+                    (corr, None)
+                }
             };
-            (kmeans, tau)
+            (self.threshold_and_candidates(&corr, rec), stats)
         };
+        self.run_stage(stage, stats, cols, None, rec, options)
+    }
+
+    /// The statistics stage over a dense correlation matrix, shared by the
+    /// dense and append sources: τ from the pinned 2-means over the
+    /// non-negative upper-triangle values (Algorithm 1 line 5), then each
+    /// node's ranked candidates above τ (lines 10–12).
+    fn threshold_and_candidates(&self, corr: &CorrelationMatrix, rec: &Recorder) -> Stage {
+        let (kmeans, upper) = {
+            let _p = rec.phase("threshold");
+            let upper = corr.upper_triangle();
+            (pinned_two_means(&upper), upper)
+        };
+        let tau = self.record_tau(&kmeans, rec);
         if rec.is_enabled() {
-            rec.value("tau", tau);
-            rec.value("tau_unscaled", kmeans.tau);
-            let above = corr.upper_triangle().iter().filter(|&&v| v > tau).count();
+            let above = upper.iter().filter(|&&v| v > tau).count();
             rec.add("pairs_above_tau", above as u64);
         }
-
-        // Lines 10–12: per-node candidate pruning.
+        drop(upper);
         let candidates: Vec<Vec<NodeId>> = {
             let _p = rec.phase("candidate_pruning");
-            (0..n)
-                .map(|i| {
-                    candidate_parents(&corr, i as NodeId, tau, self.config.search.max_candidates)
-                })
+            (0..corr.num_nodes() as NodeId)
+                .map(|i| candidate_parents(corr, i, tau, self.config.search.max_candidates))
                 .collect()
         };
         if rec.is_enabled() {
@@ -613,93 +578,31 @@ impl Tends {
                 rec.histogram("candidate_set_size", cands.len());
             }
         }
-
-        // Lines 6–20: per-node parent search (nodes are independent, so
-        // this parallelizes embarrassingly).
-        let outcome = {
-            let _p = rec.phase("parent_search");
-            self.search_all(
-                &candidates,
-                cols,
-                tau,
-                stats,
-                rec,
-                _p.span_id(),
-                options,
-                0,
-                n,
-            )?
-        };
-
-        Ok(self.assemble_dense(n, tau, kmeans, outcome, rec))
+        Stage {
+            kmeans,
+            tau,
+            candidates,
+            base: 0,
+        }
     }
 
-    /// Line 21 plus bookkeeping, shared by the dense and the incremental
-    /// append paths: direction post-processing over a full (unsharded) set
-    /// of node results, then assembly into a [`PartialReconstruction`].
-    fn assemble_dense(
-        &self,
-        n: usize,
-        tau: f64,
-        kmeans: PinnedKmeans,
-        outcome: SearchOutcome,
-        rec: &Recorder,
-    ) -> PartialReconstruction {
-        let node_results = outcome.results;
-
-        // Line 21: a directed edge from each inferred parent to its child,
-        // then the configured direction post-processing.
-        let _p = rec.phase("direction");
-        let mut builder = GraphBuilder::new(n);
-        let mut global_score = 0.0;
-        for (i, res) in node_results.iter().enumerate() {
-            for &p in &res.parents {
-                match self.config.direction {
-                    DirectionPolicy::AsIs => {
-                        builder.add_edge(p, i as NodeId);
-                    }
-                    DirectionPolicy::Symmetrize => {
-                        builder.add_reciprocal(p, i as NodeId);
-                    }
-                    DirectionPolicy::MutualOnly => {
-                        if node_results[p as usize].parents.contains(&(i as NodeId)) {
-                            builder.add_edge(p, i as NodeId);
-                        }
-                    }
-                }
-            }
-            global_score += res.score;
-        }
-        let graph = builder.build();
-        drop(_p);
+    /// The applied τ for a 2-means fit, recorded next to the unscaled τ.
+    fn record_tau(&self, kmeans: &PinnedKmeans, rec: &Recorder) -> f64 {
+        let tau = self.config.threshold.resolve(kmeans.tau);
         if rec.is_enabled() {
-            rec.add("edges_emitted", graph.edge_count() as u64);
+            rec.value("tau", tau);
+            rec.value("tau_unscaled", kmeans.tau);
         }
-
-        let failed_nodes: Vec<NodeId> = outcome.failures.iter().map(|&(i, _)| i).collect();
-        PartialReconstruction {
-            result: TendsResult {
-                graph,
-                tau,
-                kmeans,
-                node_results,
-                global_score,
-            },
-            failed_nodes,
-            errors: outcome.failures,
-            resumed_nodes: outcome.resumed_nodes,
-            checkpoint_flushes: outcome.flushes,
-            delta_records: outcome.delta_records,
-        }
+        tau
     }
 
-    /// The out-of-core pipeline: τ from a budget-sized systematic pair
-    /// sample, candidates from bounded sparse accumulators folded tile by
-    /// tile, parent searches restricted to the configured shard. The
-    /// dense `n × n` matrix never exists; see [`crate::stream`] for the
-    /// determinism argument (results are invariant to threads, SIMD tier,
-    /// and shard count, and bit-identical to the dense path whenever the
-    /// τ sample is exhaustive).
+    /// The streamed statistics source: τ from a budget-sized systematic
+    /// pair sample, candidates from bounded sparse accumulators folded tile
+    /// by tile, for the configured shard's nodes only. The dense `n × n`
+    /// matrix never exists; see [`crate::stream`] for the determinism
+    /// argument (results are invariant to threads, SIMD tier, and shard
+    /// count, and bit-identical to the dense path whenever the τ sample is
+    /// exhaustive).
     fn reconstruct_streamed(
         &self,
         cols: &NodeColumns,
@@ -723,7 +626,7 @@ impl Tends {
         );
 
         // τ from the deterministic systematic pair sample.
-        let (kmeans, tau) = {
+        let kmeans = {
             let _p = rec.phase("tau_sample");
             let sample = stream::sample_tau(
                 cols,
@@ -739,17 +642,9 @@ impl Tends {
                     span.attr("rss_bytes", rss);
                 }
             }
-            let tau = match self.config.threshold {
-                ThresholdMode::Auto => sample.kmeans.tau,
-                ThresholdMode::Fixed(t) => t,
-                ThresholdMode::ScaledAuto(s) => sample.kmeans.tau * s,
-            };
-            (sample.kmeans, tau)
+            sample.kmeans
         };
-        if rec.is_enabled() {
-            rec.value("tau", tau);
-            rec.value("tau_unscaled", kmeans.tau);
-        }
+        let tau = self.record_tau(&kmeans, rec);
 
         // Tile fold: above-τ pairs stream straight into the bounded
         // per-node accumulators; candidate lists come out in
@@ -780,77 +675,16 @@ impl Tends {
             }
             fold
         };
-        let candidates = fold.candidates;
-
-        // Parent searches for the shard's nodes only; node ids stay
-        // global in spans, fault sites, and checkpoint entries.
-        let outcome = {
-            let _p = rec.phase("parent_search");
-            self.search_all(
-                &candidates,
-                cols,
-                tau,
-                // No sufficient statistics: the streamed path never holds
-                // the dense pair state an append would fold into, so its
-                // checkpoints resume but do not warm-start appends.
-                None,
-                rec,
-                _p.span_id(),
-                options,
-                shard.start,
-                n,
-            )?
+        let stage = Stage {
+            kmeans,
+            tau,
+            candidates: fold.candidates,
+            base: shard.start,
         };
-        let node_results = outcome.results;
-
-        let _p = rec.phase("direction");
-        let mut builder = GraphBuilder::new(n);
-        let mut global_score = 0.0;
-        for (k, res) in node_results.iter().enumerate() {
-            let child = shard.start + k as NodeId;
-            for &p in &res.parents {
-                match self.config.direction {
-                    DirectionPolicy::AsIs => {
-                        builder.add_edge(p, child);
-                    }
-                    DirectionPolicy::Symmetrize => {
-                        builder.add_reciprocal(p, child);
-                    }
-                    DirectionPolicy::MutualOnly => {
-                        // Asserted above: the shard covers every node, so
-                        // shard-local indexing is global indexing.
-                        if node_results[(p - shard.start) as usize]
-                            .parents
-                            .contains(&child)
-                        {
-                            builder.add_edge(p, child);
-                        }
-                    }
-                }
-            }
-            global_score += res.score;
-        }
-        let graph = builder.build();
-        drop(_p);
-        if rec.is_enabled() {
-            rec.add("edges_emitted", graph.edge_count() as u64);
-        }
-
-        let failed_nodes: Vec<NodeId> = outcome.failures.iter().map(|&(i, _)| i).collect();
-        Ok(PartialReconstruction {
-            result: TendsResult {
-                graph,
-                tau,
-                kmeans,
-                node_results,
-                global_score,
-            },
-            failed_nodes,
-            errors: outcome.failures,
-            resumed_nodes: outcome.resumed_nodes,
-            checkpoint_flushes: outcome.flushes,
-            delta_records: outcome.delta_records,
-        })
+        // No sufficient statistics: the streamed path never holds the
+        // dense pair state an append would fold into, so its checkpoints
+        // resume but do not warm-start appends.
+        self.run_stage(stage, None, cols, None, rec, options)
     }
 
     /// Signature of the search-relevant configuration for checkpoint
@@ -876,13 +710,99 @@ impl Tends {
         sig
     }
 
-    /// Runs the per-node searches on a cost-aware worker pool.
+    /// Everything after the statistics stage, for every source: the
+    /// parent search (Algorithm 1 lines 6–20) and the edge assembly
+    /// (line 21). `stats` go into the checkpoint header; `warm` is an
+    /// append's replayable prior.
+    fn run_stage(
+        &self,
+        stage: Stage,
+        stats: Option<PairStats>,
+        cols: &NodeColumns,
+        warm: Option<Warm<'_>>,
+        rec: &Recorder,
+        options: &RobustOptions<'_>,
+    ) -> Result<PartialReconstruction, CheckpointError> {
+        let outcome = {
+            let _p = rec.phase("parent_search");
+            self.search_all(&stage, stats, cols, warm, rec, _p.span_id(), options)?
+        };
+        Ok(self.assemble(cols.num_nodes(), stage, outcome, rec))
+    }
+
+    /// Line 21 plus bookkeeping: a directed edge from each inferred parent
+    /// to its child, the configured direction post-processing, and
+    /// assembly into a [`PartialReconstruction`]. Results index by
+    /// `node − stage.base`; the graph keeps global ids.
+    fn assemble(
+        &self,
+        n: usize,
+        stage: Stage,
+        outcome: SearchOutcome,
+        rec: &Recorder,
+    ) -> PartialReconstruction {
+        let node_results = outcome.results;
+        let base = stage.base;
+        let _p = rec.phase("direction");
+        let mut builder = GraphBuilder::new(n);
+        let mut global_score = 0.0;
+        for (k, res) in node_results.iter().enumerate() {
+            let child = base + k as NodeId;
+            for &p in &res.parents {
+                match self.config.direction {
+                    DirectionPolicy::AsIs => {
+                        builder.add_edge(p, child);
+                    }
+                    DirectionPolicy::Symmetrize => {
+                        builder.add_reciprocal(p, child);
+                    }
+                    DirectionPolicy::MutualOnly => {
+                        // Only unsharded runs get here (the streamed
+                        // source asserts it), so `p − base` indexes p.
+                        if node_results[(p - base) as usize].parents.contains(&child) {
+                            builder.add_edge(p, child);
+                        }
+                    }
+                }
+            }
+            global_score += res.score;
+        }
+        let graph = builder.build();
+        drop(_p);
+        if rec.is_enabled() {
+            rec.add("edges_emitted", graph.edge_count() as u64);
+        }
+
+        let failed_nodes: Vec<NodeId> = outcome.failures.iter().map(|&(i, _)| i).collect();
+        PartialReconstruction {
+            result: TendsResult {
+                graph,
+                tau: stage.tau,
+                kmeans: stage.kmeans,
+                node_results,
+                global_score,
+            },
+            failed_nodes,
+            errors: outcome.failures,
+            resumed_nodes: outcome.resumed_nodes,
+            checkpoint_flushes: outcome.flushes,
+            delta_records: outcome.delta_records,
+        }
+    }
+
+    /// The one per-node search driver, on a cost-aware worker pool. Each
+    /// node is, in order of preference: *restored* from the resumed
+    /// checkpoint as-is; *replayed* — on an append, when its warm entry is
+    /// clean (see [`Warm::clean_table`]) — by running the cacheless
+    /// reference search over the merged joint table; or *searched* from
+    /// the columns.
     ///
     /// Per-node search cost varies wildly: with `k = |P_i|` candidates a
     /// node enumerates `Θ(k²)` combinations (at the default
-    /// `max_combo_size = 2`) while a fully pruned node scores only the
-    /// empty set. Chunks are therefore weighted by the `1 + k²` estimate
-    /// (see [`parallel::cost_chunks`]) so a handful of hub nodes doesn't
+    /// `max_combo_size = 2`), a replay only marginalizes a `2^k`-cell
+    /// table, and a fully pruned node scores only the empty set. Chunks
+    /// are therefore weighted by those estimates (see
+    /// [`parallel::cost_chunks`]) so a handful of hub nodes doesn't
     /// serialize the pool. Each worker owns one [`SearchScratch`]
     /// (counting workspace + score cache) reused across all its nodes;
     /// each node's result depends only on its id, so the output is
@@ -891,38 +811,38 @@ impl Tends {
     /// chunk claims are the one scheduler-dependent datum, and land in the
     /// runtime-only report section).
     ///
-    /// `candidates` may cover a node-range shard rather than all nodes:
-    /// `base` is the global id of the slice's first node (0 for dense
-    /// runs) and `global_n` the full node count — spans, fault sites, and
-    /// checkpoint entries always use global ids, while results index by
-    /// `id − base`.
+    /// `stage.candidates` may cover a node-range shard rather than all
+    /// nodes: `stage.base` is the global id of the slice's first node (0
+    /// for dense runs) — spans, fault sites, and checkpoint entries always
+    /// use global ids, while results index by `id − base`.
     #[allow(clippy::too_many_arguments)]
     fn search_all(
         &self,
-        candidates: &[Vec<NodeId>],
-        cols: &diffnet_simulate::NodeColumns,
-        tau: f64,
+        stage: &Stage,
         stats: Option<PairStats>,
+        cols: &NodeColumns,
+        warm: Option<Warm<'_>>,
         rec: &Recorder,
         parent_span: Option<SpanId>,
         options: &RobustOptions<'_>,
-        base: NodeId,
-        global_n: usize,
     ) -> Result<SearchOutcome, CheckpointError> {
+        let (candidates, base) = (&stage.candidates, stage.base);
         let n = candidates.len();
         let fp = checkpoint::fingerprint(
             cols.num_processes(),
-            global_n,
-            tau,
+            cols.num_nodes(),
+            stage.tau,
             &self.config_signature(),
             options.revision,
             candidates,
         );
 
         // Prior progress: a resumed node is returned from the checkpoint
-        // instead of searched. A missing file is an empty checkpoint.
+        // instead of searched. A missing file is an empty checkpoint. An
+        // append's file holds the previous revision, whose entries are the
+        // warm prior instead.
         let mut restored: BTreeMap<NodeId, CheckpointEntry> = BTreeMap::new();
-        if let (Some(path), true) = (&options.checkpoint, options.resume) {
+        if let (Some(path), true, None) = (&options.checkpoint, options.resume, &warm) {
             if path.exists() {
                 let ck = Checkpoint::load(path)?;
                 if ck.fingerprint != fp {
@@ -949,7 +869,6 @@ impl Tends {
                 restored = ck.entries;
             }
         }
-        let resumed_nodes = restored.len();
         let fault = options.fault;
         let interval = options.checkpoint_interval.max(1);
         let checkpoint_path = options.checkpoint.as_deref();
@@ -960,22 +879,22 @@ impl Tends {
         // writer thread performs the initial save as its first action and
         // then owns every fsync, so the search pool never blocks on
         // checkpoint I/O — not even for the header write.
-        let mut initial = None;
-        if checkpoint_path.is_some() {
-            initial = Some(Checkpoint {
-                fingerprint: fp,
-                revision: options.revision,
-                stats,
-                entries: restored.clone(),
-            });
-        }
+        let initial = checkpoint_path.map(|_| Checkpoint {
+            fingerprint: fp,
+            revision: options.revision,
+            stats,
+            entries: restored.clone(),
+        });
 
         let costs: Vec<u64> = candidates
             .iter()
             .enumerate()
             .map(|(i, c)| {
-                if restored.contains_key(&(base + i as NodeId)) {
+                let id = base + i as NodeId;
+                if restored.contains_key(&id) {
                     1
+                } else if warm.as_ref().is_some_and(|w| w.replayable(id, c).is_some()) {
+                    1 + c.len() as u64
                 } else {
                     1 + (c.len() * c.len()) as u64
                 }
@@ -994,62 +913,56 @@ impl Tends {
         let doorbell = checkpoint_path.map(|_| Mutex::new(tx));
         let queue: Mutex<Vec<(NodeId, CheckpointEntry)>> = Mutex::new(Vec::new());
 
+        type NodeOut = (NodeSearchResult, WorkspaceStats, bool);
         let (results, pool, writer_result) = std::thread::scope(|scope| {
-            let writer = initial.take().map(|ck| {
+            let writer = initial.map(|ck| {
                 let path = checkpoint_path.expect("checkpoint path");
                 let queue = &queue;
                 scope.spawn(move || delta_writer(rx, queue, ck, path, interval, fault))
             });
-            let (results, pool) = parallel::run_weighted_stats(
+            let (results, pool) = parallel::run_weighted(
                 &costs,
                 4,
                 self.config.threads,
                 SearchScratch::new,
-                |scratch, i| -> Result<(NodeSearchResult, WorkspaceStats), NodeError> {
+                |scratch, i| -> Result<NodeOut, NodeError> {
                     let id = base + i as NodeId;
+                    let cands = &candidates[i];
                     if let Some(entry) = restored.get(&id) {
-                        return Ok((entry.clone().into_result(), entry.ws));
+                        return Ok((entry.clone().into_result(), entry.ws, false));
                     }
-                    if let Some(flag) = options.cancel {
-                        if flag.load(std::sync::atomic::Ordering::Relaxed) {
-                            return Err(NodeError::Cancelled);
-                        }
-                    }
-                    fault
-                        .hit_indexed("node_search", u64::from(id))
-                        .map_err(NodeError::Io)?;
-                    // One span per freshly searched node, parented under the
-                    // parent_search phase span (restored nodes do no work and
-                    // get none). Ends when the guard drops — including on the
-                    // error path, where it records without cache attributes.
-                    let mut span = rec.span_with_parent("node_search", parent_span);
-                    span.attr("node", u64::from(id));
-                    span.attr("candidates", candidates[i].len() as u64);
-                    let before = scratch.ws.stats();
-                    let res =
-                        find_parents_with(scratch, cols, id, &candidates[i], &self.config.search)
-                            .map_err(NodeError::Search)?;
-                    let after = scratch.ws.stats();
-                    span.attr("score_cache_hits", res.cache_stats.hits);
-                    span.attr("score_cache_misses", res.cache_stats.misses);
-                    // The per-node workspace delta, not the pool total: it is
-                    // what the checkpoint stores, so a resumed run can report
-                    // the same summed counters as an uninterrupted one.
-                    let ws = WorkspaceStats {
-                        refinements: after.refinements - before.refinements,
-                        rebases: after.rebases - before.rebases,
-                    };
-                    if let Some(bell) = &doorbell {
-                        // The joint candidate table is the warm state the
-                        // next cascade append replays from; an oversized
-                        // candidate set just re-searches on append.
-                        let table = if candidates[i].len() <= checkpoint::MAX_TABLE_CANDIDATES {
-                            JointTable::from_cols(cols, id, &candidates[i])
-                                .ok()
-                                .map(|t| t.cells().to_vec())
-                        } else {
-                            None
+                    let (res, ws, table, replayed) =
+                        match warm.as_ref().and_then(|w| w.clean_table(id, cands)) {
+                            Some((entry, table)) => {
+                                let res =
+                                    find_parents_reference(&table, id, cands, &self.config.search)
+                                        .map_err(NodeError::Search)?;
+                                // Workspace activity is carried over from the
+                                // original search: a replay never touches one.
+                                (res, entry.ws, Some(table.cells().to_vec()), true)
+                            }
+                            None => {
+                                let (res, ws) = self.search_node(
+                                    scratch,
+                                    cols,
+                                    id,
+                                    cands,
+                                    rec,
+                                    parent_span,
+                                    options,
+                                )?;
+                                // The joint candidate table is the warm state
+                                // the next cascade append replays from; an
+                                // oversized candidate set just re-searches.
+                                let table = doorbell
+                                    .as_ref()
+                                    .filter(|_| cands.len() <= checkpoint::MAX_TABLE_CANDIDATES)
+                                    .and_then(|_| JointTable::from_cols(cols, id, cands).ok())
+                                    .map(|t| t.cells().to_vec());
+                                (res, ws, table, false)
+                            }
                         };
+                    if let Some(bell) = &doorbell {
                         let entry = CheckpointEntry::from_result(&res, ws, table);
                         let backlog = {
                             let mut q = queue.lock().expect("delta queue lock");
@@ -1062,7 +975,7 @@ impl Tends {
                             let _ = bell.lock().expect("doorbell lock").send(());
                         }
                     }
-                    Ok((res, ws))
+                    Ok((res, ws, replayed))
                 },
             );
             // Disconnect the doorbell so the writer drains the queue one
@@ -1080,12 +993,13 @@ impl Tends {
 
         let mut node_results = Vec::with_capacity(n);
         let mut failures: Vec<(NodeId, NodeError)> = Vec::new();
-        let (mut refinements, mut rebases) = (0u64, 0u64);
+        let (mut refinements, mut rebases, mut replayed) = (0u64, 0u64, 0usize);
         for (i, r) in results.into_iter().enumerate() {
             match r {
-                Ok((res, ws)) => {
+                Ok((res, ws, was_replayed)) => {
                     refinements += ws.refinements;
                     rebases += ws.rebases;
+                    replayed += usize::from(was_replayed);
                     node_results.push(res);
                 }
                 Err(e) => {
@@ -1118,198 +1032,111 @@ impl Tends {
             rec.add("score_cache_misses", cache.misses);
             rec.add("workspace_refinements", refinements);
             rec.add("workspace_rebases", rebases);
+            if warm.is_some() {
+                rec.add("dirty_nodes", (n - replayed) as u64);
+                rec.add("nodes_reused", replayed as u64);
+            }
         }
         Ok(SearchOutcome {
             results: node_results,
             failures,
-            resumed_nodes,
+            resumed_nodes: restored.len() + replayed,
             flushes,
             delta_records,
         })
     }
 
-    /// The append-path search stage: replays clean nodes from persisted
-    /// joint tables (merged with a delta table over the appended columns),
-    /// re-searches dirty nodes against the combined columns, and replaces
-    /// the pre-append checkpoint with the post-append one in a single
-    /// atomic rewrite — a crash anywhere before that write leaves the old
-    /// revision intact, so a restarted append redoes the same idempotent
-    /// fold.
+    /// One node's search from the columns: the cancellation and fault
+    /// checks, then [`find_parents_with`] under a `node_search` span.
+    /// Returns the result and the workspace activity it performed.
     #[allow(clippy::too_many_arguments)]
-    fn append_search(
+    fn search_node(
         &self,
-        candidates: &[Vec<NodeId>],
-        combined_cols: &NodeColumns,
-        appended_cols: &NodeColumns,
-        old: &Checkpoint,
-        stats: &PairStats,
-        tau: f64,
+        scratch: &mut SearchScratch,
+        cols: &NodeColumns,
+        id: NodeId,
+        candidates: &[NodeId],
         rec: &Recorder,
         parent_span: Option<SpanId>,
         options: &RobustOptions<'_>,
-        path: &Path,
-    ) -> Result<SearchOutcome, CheckpointError> {
-        let n = candidates.len();
-        let fp = checkpoint::fingerprint(
-            combined_cols.num_processes(),
-            n,
-            tau,
-            &self.config_signature(),
-            options.revision,
-            candidates,
-        );
-
-        // A node is *clean* when its freshly computed candidate list is
-        // identical to the one the checkpointed search ran over and a
-        // joint table was persisted for it: the replayed search then sees
-        // exactly the counts the combined columns would produce.
-        // Everything else is dirty and re-searches from the columns.
-        let clean: Vec<bool> = (0..n)
-            .map(|i| {
-                old.entries
-                    .get(&(i as NodeId))
-                    .is_some_and(|e| e.table.is_some() && e.candidates == candidates[i])
-            })
-            .collect();
-        let fault = options.fault;
-
-        // Replays marginalize a 2^k-cell table instead of re-counting β
-        // process columns, so they weigh far less than a dirty search.
-        let costs: Vec<u64> = candidates
-            .iter()
-            .enumerate()
-            .map(|(i, c)| {
-                if clean[i] {
-                    1 + c.len() as u64
-                } else {
-                    1 + (c.len() * c.len()) as u64
-                }
-            })
-            .collect();
-        type NodeOut = (NodeSearchResult, WorkspaceStats, Option<Vec<[u64; 2]>>);
-        let (results, pool) = parallel::run_weighted_stats(
-            &costs,
-            4,
-            self.config.threads,
-            SearchScratch::new,
-            |scratch, i| -> Result<NodeOut, NodeError> {
-                let id = i as NodeId;
-                if clean[i] {
-                    let entry = old.entries.get(&id).expect("clean implies entry");
-                    let cells = entry.table.clone().expect("clean implies table");
-                    let mut sorted = entry.candidates.clone();
-                    sorted.sort_unstable();
-                    let mut table = JointTable::from_parts(id, sorted, cells)
-                        .expect("persisted table shape is validated on load");
-                    let delta = JointTable::from_cols(appended_cols, id, &candidates[i])
-                        .expect("table-sized candidate sets tabulate");
-                    table.merge(&delta);
-                    let res =
-                        find_parents_reference(&table, id, &candidates[i], &self.config.search)
-                            .map_err(NodeError::Search)?;
-                    // Workspace activity is carried over from the original
-                    // search: the replay itself never touches a workspace.
-                    return Ok((res, entry.ws, Some(table.cells().to_vec())));
-                }
-                if let Some(flag) = options.cancel {
-                    if flag.load(std::sync::atomic::Ordering::Relaxed) {
-                        return Err(NodeError::Cancelled);
-                    }
-                }
-                fault
-                    .hit_indexed("node_search", u64::from(id))
-                    .map_err(NodeError::Io)?;
-                let mut span = rec.span_with_parent("node_search", parent_span);
-                span.attr("node", u64::from(id));
-                span.attr("candidates", candidates[i].len() as u64);
-                let before = scratch.ws.stats();
-                let res = find_parents_with(
-                    scratch,
-                    combined_cols,
-                    id,
-                    &candidates[i],
-                    &self.config.search,
-                )
-                .map_err(NodeError::Search)?;
-                let after = scratch.ws.stats();
-                span.attr("score_cache_hits", res.cache_stats.hits);
-                span.attr("score_cache_misses", res.cache_stats.misses);
-                let ws = WorkspaceStats {
-                    refinements: after.refinements - before.refinements,
-                    rebases: after.rebases - before.rebases,
-                };
-                let table = if candidates[i].len() <= checkpoint::MAX_TABLE_CANDIDATES {
-                    JointTable::from_cols(combined_cols, id, &candidates[i])
-                        .ok()
-                        .map(|t| t.cells().to_vec())
-                } else {
-                    None
-                };
-                Ok((res, ws, table))
-            },
-        );
-
-        let mut next = Checkpoint {
-            fingerprint: fp,
-            revision: options.revision,
-            stats: Some(stats.clone()),
-            entries: BTreeMap::new(),
+    ) -> Result<(NodeSearchResult, WorkspaceStats), NodeError> {
+        if let Some(flag) = options.cancel {
+            if flag.load(std::sync::atomic::Ordering::Relaxed) {
+                return Err(NodeError::Cancelled);
+            }
+        }
+        options
+            .fault
+            .hit_indexed("node_search", u64::from(id))
+            .map_err(NodeError::Io)?;
+        // One span per freshly searched node, parented under the
+        // parent_search phase span (restored and replayed nodes get none).
+        // Ends when the guard drops — including on the error path, where it
+        // records without cache attributes.
+        let mut span = rec.span_with_parent("node_search", parent_span);
+        span.attr("node", u64::from(id));
+        span.attr("candidates", candidates.len() as u64);
+        let before = scratch.ws.stats();
+        let res = find_parents_with(scratch, cols, id, candidates, &self.config.search)
+            .map_err(NodeError::Search)?;
+        let after = scratch.ws.stats();
+        span.attr("score_cache_hits", res.cache_stats.hits);
+        span.attr("score_cache_misses", res.cache_stats.misses);
+        // The per-node workspace delta, not the pool total: it is what the
+        // checkpoint stores, so a resumed run can report the same summed
+        // counters as an uninterrupted one.
+        let ws = WorkspaceStats {
+            refinements: after.refinements - before.refinements,
+            rebases: after.rebases - before.rebases,
         };
-        let mut node_results = Vec::with_capacity(n);
-        let mut failures: Vec<(NodeId, NodeError)> = Vec::new();
-        let (mut refinements, mut rebases) = (0u64, 0u64);
-        for (i, r) in results.into_iter().enumerate() {
-            match r {
-                Ok((res, ws, table)) => {
-                    refinements += ws.refinements;
-                    rebases += ws.rebases;
-                    next.entries
-                        .insert(i as NodeId, CheckpointEntry::from_result(&res, ws, table));
-                    node_results.push(res);
-                }
-                Err(e) => {
-                    failures.push((i as NodeId, e));
-                    node_results.push(NodeSearchResult {
-                        parents: Vec::new(),
-                        score: 0.0,
-                        candidates: candidates[i].clone(),
-                        stats: SearchStats::default(),
-                        cache_stats: ScoreCacheStats::default(),
-                    });
-                }
-            }
-        }
-        // The one write of the append path. Failed (e.g. cancelled) nodes
-        // are simply absent, so a restart resumes the post-append revision
-        // and searches only the gaps.
-        next.save(path)?;
+        Ok((res, ws))
+    }
+}
 
-        let reused = clean.iter().filter(|&&c| c).count();
-        if rec.is_enabled() {
-            rec.worker_chunks("parent_search", &pool.chunks_per_worker);
-            let mut total = SearchStats::default();
-            let mut cache = ScoreCacheStats::default();
-            for r in &node_results {
-                total.merge(&r.stats);
-                cache.merge(&r.cache_stats);
-            }
-            rec.add("combinations_scored", total.evaluations as u64);
-            rec.add("bound_rejections", total.bound_rejections as u64);
-            rec.add("greedy_rounds", total.greedy_rounds as u64);
-            rec.add("score_cache_hits", cache.hits);
-            rec.add("score_cache_misses", cache.misses);
-            rec.add("workspace_refinements", refinements);
-            rec.add("workspace_rebases", rebases);
-            rec.add("dirty_nodes", (n - reused) as u64);
-            rec.add("nodes_reused", reused as u64);
-        }
-        Ok(SearchOutcome {
-            results: node_results,
-            failures,
-            resumed_nodes: reused,
-            flushes: 1,
-            delta_records: 0,
-        })
+/// What a statistics source hands the search: the threshold fit and
+/// applied τ, and the ranked candidate lists of the nodes to search,
+/// starting at global id `base` (a shard's first node; 0 otherwise).
+struct Stage {
+    kmeans: PinnedKmeans,
+    tau: f64,
+    candidates: Vec<Vec<NodeId>>,
+    base: NodeId,
+}
+
+/// An append's per-node prior: the pre-append checkpoint's entries, the
+/// appended columns their joint tables are brought up to date with, and
+/// the post-append statistics every merged table must agree with.
+struct Warm<'a> {
+    entries: &'a BTreeMap<NodeId, CheckpointEntry>,
+    appended: &'a NodeColumns,
+    stats: &'a PairStats,
+}
+
+impl Warm<'_> {
+    /// `id`'s entry when it ran over exactly `candidates` and persisted a
+    /// joint table — the precondition for replay.
+    fn replayable(&self, id: NodeId, candidates: &[NodeId]) -> Option<&CheckpointEntry> {
+        self.entries
+            .get(&id)
+            .filter(|e| e.table.is_some() && e.candidates == candidates)
+    }
+
+    /// `id`'s persisted table plus the appended columns' delta table, when
+    /// `id` is clean: replayable, and the merged table's marginals equal
+    /// the post-append statistics ([`JointTable::agrees_with`]). The
+    /// replayed search then sees exactly the counts the combined columns
+    /// would produce. Anything else is dirty and re-searches.
+    fn clean_table(
+        &self,
+        id: NodeId,
+        candidates: &[NodeId],
+    ) -> Option<(&CheckpointEntry, JointTable)> {
+        let entry = self.replayable(id, candidates)?;
+        let mut sorted = candidates.to_vec();
+        sorted.sort_unstable();
+        let mut table = JointTable::from_parts(id, sorted, entry.table.clone()?).ok()?;
+        table.merge(&JointTable::from_cols(self.appended, id, candidates).ok()?);
+        table.agrees_with(self.stats).then_some((entry, table))
     }
 }
 
@@ -2067,6 +1894,160 @@ mod tests {
                 "score bits at revision {revision}"
             );
         }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn corrupted_joint_tables_are_re_searched_not_replayed() {
+        // The data of incremental_append_is_byte_identical_to_fresh_combined_run.
+        let truth = DiGraph::from_edges(10, &{
+            let mut e = Vec::new();
+            for i in 0..9u32 {
+                e.push((i, i + 1));
+                e.push((i + 1, i));
+            }
+            e
+        });
+        let combined = observe(&truth, 0.5, 0.2, 260, 79);
+        let (base, appended) = split_statuses(&combined, 220);
+        let tends = Tends::new();
+        let fresh = tends
+            .reconstruct_observed(&combined, Recorder::disabled())
+            .expect("search fits");
+
+        let path = temp_checkpoint("corrupt_tables.json");
+        std::fs::remove_file(&path).ok();
+        tends
+            .reconstruct_robust(
+                &base,
+                Recorder::disabled(),
+                &RobustOptions {
+                    checkpoint: Some(path.clone()),
+                    ..Default::default()
+                },
+            )
+            .expect("base run");
+
+        // Entries carry no checksum of their own, so an edited table still
+        // loads. Corrupt the even nodes' tables; the odd nodes whose
+        // candidate lists survive the append stay replayable.
+        let mut ck = Checkpoint::load(&path).expect("base checkpoint");
+        let (mut edited_replayable, mut expected_reused) = (0, 0u64);
+        for (&id, entry) in ck.entries.iter_mut() {
+            let replayable = entry.table.is_some()
+                && entry.candidates == fresh.node_results[id as usize].candidates;
+            if id % 2 == 0 {
+                entry.table.as_mut().expect("table persisted")[0][1] += 500;
+                edited_replayable += usize::from(replayable);
+            } else {
+                expected_reused += u64::from(replayable);
+            }
+        }
+        assert!(
+            edited_replayable > 0,
+            "the edit must hit nodes a pristine append would replay"
+        );
+        ck.save(&path).expect("save edited checkpoint");
+
+        let rec = Recorder::new();
+        let warm = tends
+            .reconstruct_robust_append(
+                &combined,
+                &appended,
+                &rec,
+                &RobustOptions {
+                    checkpoint: Some(path.clone()),
+                    revision: 1,
+                    ..Default::default()
+                },
+            )
+            .expect("a corrupted table is dirty, not an error");
+        assert_eq!(warm.result.graph, fresh.graph);
+        assert_eq!(
+            warm.result.global_score.to_bits(),
+            fresh.global_score.to_bits()
+        );
+        for (i, (w, f)) in warm
+            .result
+            .node_results
+            .iter()
+            .zip(&fresh.node_results)
+            .enumerate()
+        {
+            assert_eq!(w.score.to_bits(), f.score.to_bits(), "score of node {i}");
+        }
+        let snap = rec.snapshot();
+        assert_eq!(snap.counters["nodes_reused"], expected_reused);
+        assert_eq!(snap.counters["dirty_nodes"], 10 - expected_reused);
+        assert_eq!(warm.resumed_nodes as u64, snap.counters["nodes_reused"]);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn torn_post_append_checkpoint_resumes_byte_identical() {
+        // The append writes through the delta log: a header at the new
+        // revision, then one line per node. A crash can leave any prefix.
+        let truth = DiGraph::from_edges(8, &[(0, 1), (1, 0), (2, 3), (3, 2), (5, 6), (6, 5)]);
+        let combined = observe(&truth, 0.5, 0.2, 200, 91);
+        let (base, appended) = split_statuses(&combined, 170);
+        let tends = Tends::new();
+        let fresh = tends
+            .reconstruct_observed(&combined, Recorder::disabled())
+            .expect("search fits");
+
+        let path = temp_checkpoint("torn_append.json");
+        std::fs::remove_file(&path).ok();
+        let opts = |revision| RobustOptions {
+            checkpoint: Some(path.clone()),
+            revision,
+            ..Default::default()
+        };
+        tends
+            .reconstruct_robust(&base, Recorder::disabled(), &opts(0))
+            .expect("base run");
+        tends
+            .reconstruct_robust_append(&combined, &appended, Recorder::disabled(), &opts(1))
+            .expect("append");
+        let bytes = std::fs::read(&path).expect("post-append checkpoint");
+        let full = Checkpoint::load(&path).expect("full checkpoint");
+        assert_eq!(full.entries.len(), 8);
+
+        // Every prefix loads to a typed error or to a subset of the full
+        // state. A rerun is a function of the loaded state, so each
+        // distinct state is rerun once.
+        let mut rerun: Vec<Checkpoint> = Vec::new();
+        let mut errors = 0;
+        for cut in 0..=bytes.len() {
+            std::fs::write(&path, &bytes[..cut]).expect("write prefix");
+            let Ok(loaded) = Checkpoint::load(&path) else {
+                errors += 1;
+                continue;
+            };
+            assert_eq!(
+                (loaded.fingerprint, loaded.revision, &loaded.stats),
+                (full.fingerprint, full.revision, &full.stats),
+                "header at cut {cut}"
+            );
+            for (id, entry) in &loaded.entries {
+                assert_eq!(Some(entry), full.entries.get(id), "node {id} at cut {cut}");
+            }
+            if rerun.contains(&loaded) {
+                continue;
+            }
+            let again = tends
+                .reconstruct_robust_append(&combined, &appended, Recorder::disabled(), &opts(1))
+                .expect("rerun from a torn checkpoint");
+            assert_eq!(again.result.graph, fresh.graph, "graph at cut {cut}");
+            assert_eq!(
+                again.result.global_score.to_bits(),
+                fresh.global_score.to_bits(),
+                "score bits at cut {cut}"
+            );
+            assert_eq!(again.resumed_nodes, loaded.entries.len(), "cut {cut}");
+            rerun.push(loaded);
+        }
+        assert!(errors > 0, "a torn header must fail typed");
+        assert_eq!(rerun.len(), 9, "one state per number of complete entries");
         std::fs::remove_file(&path).ok();
     }
 

@@ -630,6 +630,14 @@ fn parse_entry(value: &Json) -> Result<(NodeId, CheckpointEntry), CheckpointErro
                     .ok_or_else(|| CheckpointError::Format(format!("node {id}: bad \"table\"")))?,
                 "table",
             )?;
+            // Writers never persist a larger table, and the shift below
+            // must not overflow on a hostile candidate list.
+            if candidates.len() > MAX_TABLE_CANDIDATES {
+                return Err(CheckpointError::Format(format!(
+                    "node {id}: table over {} candidates exceeds {MAX_TABLE_CANDIDATES}",
+                    candidates.len()
+                )));
+            }
             let want = 2 * (1usize << candidates.len());
             if flat.len() != want {
                 return Err(CheckpointError::Format(format!(
@@ -848,6 +856,16 @@ mod tests {
         let text = sample().to_text().replace("3 1 0 2 1 1 0 2", "3 1");
         let err = Checkpoint::from_text(&text, false).expect_err("short table");
         assert!(err.to_string().contains("table"), "{err}");
+
+        // So is a table over more candidates than any writer tabulates —
+        // 64 of them would overflow the cell-count shift.
+        let many: Vec<String> = (0..64).map(|c| c.to_string()).collect();
+        let text = sample().to_text().replace(
+            "\"candidates\":[5,2]",
+            &format!("\"candidates\":[{}]", many.join(",")),
+        );
+        let err = Checkpoint::from_text(&text, false).expect_err("oversized table");
+        assert!(err.to_string().contains("exceeds"), "{err}");
     }
 
     #[test]

@@ -12,7 +12,10 @@
 //! where `mi(a,b) = P̂(X_i=a, X_j=b) · log₂ (P̂(a,b) / (P̂(a)·P̂(b)))` is one
 //! cell of the MI sum. Concordant cells reward, discordant cells penalize.
 
+use crate::parallel::{self, PoolStats};
+use diffnet_graph::NodeId;
 use diffnet_simulate::{NodeColumns, PairCounts};
+use std::ops::Range;
 
 /// One cell of the mutual-information sum:
 /// `p_ab · log₂(p_ab / (p_a · p_b))`, with `0 log 0 = 0`.
@@ -151,6 +154,117 @@ pub enum CorrelationMeasure {
     Mi,
 }
 
+impl CorrelationMeasure {
+    /// The measure's value for one pair's joint counts, every `log2`
+    /// served from `lut` — the single dispatch every pair pass goes
+    /// through, so all of them agree bit-for-bit.
+    #[inline]
+    pub fn value(self, pc: &PairCounts, lut: &Log2Table) -> f64 {
+        let cells = MiCells::from_counts_with(pc, lut);
+        match self {
+            CorrelationMeasure::Imi => cells.imi(),
+            CorrelationMeasure::Mi => cells.mi(),
+        }
+    }
+}
+
+/// Outcome of one [`tile_pass`]: the scanned tiles, each tile's
+/// positional outputs, the pool's per-worker states, and the per-column
+/// ones counts the kernel derived its cells from.
+pub(crate) struct TilePass<S, T> {
+    tiles: Vec<(Range<usize>, Range<usize>)>,
+    outputs: Vec<Vec<T>>,
+    pub(crate) pool: PoolStats<S>,
+    pub(crate) ones: Vec<u64>,
+    /// Pairs across the scanned tiles.
+    pub(crate) pairs: u64,
+}
+
+impl<S, T> TilePass<S, T> {
+    /// Number of tiles scanned.
+    pub(crate) fn num_tiles(&self) -> u64 {
+        self.tiles.len() as u64
+    }
+
+    /// Hands every tile output to `put(i, j, value)`, re-deriving each
+    /// value's pair by walking the tile exactly the way the kernel emits:
+    /// row-major over `i`, then `j > i` within the column range.
+    pub(crate) fn scatter(&mut self, mut put: impl FnMut(usize, usize, T)) {
+        for ((rows, jcols), out) in self.tiles.iter().zip(std::mem::take(&mut self.outputs)) {
+            let mut vals = out.into_iter();
+            for i in rows.clone() {
+                for j in jcols.start.max(i + 1)..jcols.end {
+                    put(i, j, vals.next().expect("one value per tile pair"));
+                }
+            }
+            debug_assert!(vals.next().is_none(), "tile emitted extra pairs");
+        }
+    }
+}
+
+/// The one pass of the cache-blocked [`NodeColumns::pair_counts_block`]
+/// kernel over the upper triangle that every pairwise statistic is built
+/// from: the correlation matrix, its sufficient statistics, an append's
+/// statistics delta, and the streamed candidate fold.
+///
+/// The triangle is cut into T×T tiles (T =
+/// [`NodeColumns::pair_tile_size`], lane-aligned and chosen so a tile
+/// pair's columns stay L1-resident), and `keep(rows, cols)` selects which
+/// tiles to scan. `n11` is one SIMD AND+popcount stream per pair with the
+/// other three cells derived from the per-column ones counts — computed
+/// once up front and shared by every tile — and constant columns
+/// short-circuit the word walk entirely. Tiles are scheduled cost-aware —
+/// each tile's claim weight is its exact pair count — so the dense
+/// diagonal tiles don't serialize the pool. `visit` sees each pair with
+/// its worker's state and its tile's output vector; outputs are
+/// *positional* (the kernel's deterministic emission order, see
+/// [`TilePass::scatter`]) and land in per-tile slots, so everything built
+/// from them is bit-identical at every thread count.
+pub(crate) fn tile_pass<S: Send, T: Send>(
+    cols: &NodeColumns,
+    keep: impl Fn(&Range<usize>, &Range<usize>) -> bool,
+    threads: usize,
+    init: impl Fn() -> S + Sync,
+    visit: impl Fn(&mut S, &mut Vec<T>, NodeId, NodeId, &PairCounts) + Sync,
+) -> TilePass<S, T> {
+    let n = cols.num_nodes();
+    let ones = cols.ones_counts();
+    let size = cols.pair_tile_size();
+    let mut tiles = Vec::new();
+    let mut costs: Vec<u64> = Vec::new();
+    for bi in (0..n).step_by(size) {
+        let rows = bi..(bi + size).min(n);
+        for bj in (bi..n).step_by(size) {
+            let jcols = bj..(bj + size).min(n);
+            // Exact pair count of the tile (diagonal tiles are
+            // triangular) — the tile's scheduling weight.
+            let pairs: u64 = rows
+                .clone()
+                .map(|i| jcols.end.saturating_sub(jcols.start.max(i + 1)) as u64)
+                .sum();
+            if pairs > 0 && keep(&rows, &jcols) {
+                tiles.push((rows.clone(), jcols));
+                costs.push(pairs);
+            }
+        }
+    }
+    let (outputs, pool) = parallel::run_weighted(&costs, 4, threads, init, |state, t| {
+        let (rows, jcols) = &tiles[t];
+        let mut out = Vec::with_capacity(costs[t] as usize);
+        cols.pair_counts_block(rows.clone(), jcols.clone(), &ones, &mut |i, j, pc| {
+            visit(state, &mut out, i, j, &pc)
+        });
+        out
+    });
+    TilePass {
+        tiles,
+        outputs,
+        pool,
+        ones,
+        pairs: costs.iter().sum(),
+    }
+}
+
 /// Symmetric matrix of pairwise correlation values over all node pairs.
 ///
 /// The diagonal is unused and fixed at 0.
@@ -162,118 +276,24 @@ pub struct CorrelationMatrix {
 
 impl CorrelationMatrix {
     /// Computes all pairwise values from the column view of a status
-    /// matrix with the chosen measure. `O(n²)` pair counts, each a few
-    /// popcounts per 64 processes. Single-threaded; see
-    /// [`compute_parallel`](Self::compute_parallel).
+    /// matrix with the chosen measure, single-threaded and unobserved. See
+    /// [`compute_observed`](Self::compute_observed).
     pub fn compute(cols: &NodeColumns, measure: CorrelationMeasure) -> Self {
-        Self::compute_parallel(cols, measure, 1)
+        Self::compute_observed(cols, measure, 1, diffnet_observe::Recorder::disabled())
     }
 
-    /// Parallel variant of [`compute`](Self::compute): rows of the upper
-    /// triangle are claimed by `threads` workers (0 = all cores) in small
-    /// chunks, since row `i` costs `n − i − 1` cells and static splitting
-    /// would leave late workers idle. Each cell is a pure function of its
-    /// pair, so the result is bit-identical for every thread count.
-    pub fn compute_parallel(
-        cols: &NodeColumns,
-        measure: CorrelationMeasure,
-        threads: usize,
-    ) -> Self {
-        Self::compute_observed(
-            cols,
-            measure,
-            threads,
-            diffnet_observe::Recorder::disabled(),
-        )
-    }
-
-    /// [`compute_parallel`](Self::compute_parallel) that also reports pool
-    /// utilization: per-worker chunk claims land in the recorder under the
-    /// `correlation_matrix` region. The matrix itself is bit-identical to
-    /// the unobserved variant at every thread count.
-    ///
-    /// The pair loop is the cache-blocked
-    /// [`NodeColumns::pair_counts_block`] kernel: the upper triangle is cut
-    /// into T×T tiles (T = [`NodeColumns::pair_tile_size`], lane-aligned
-    /// and chosen so a tile pair's columns stay L1-resident), `n11` is one
-    /// SIMD AND+popcount stream per pair with the other three cells derived
-    /// from the per-column ones counts — computed once up front and shared
-    /// by every tile — and constant columns short-circuit the word walk
-    /// entirely. Tiles are scheduled cost-aware — each tile's claim weight
-    /// is its exact pair count — so the dense diagonal tiles don't
-    /// serialize the pool. Per-tile results are *positional* (`Vec<f64>` in
-    /// the kernel's deterministic row-major emission order, a third of the
-    /// memory of `(i, j, value)` triples) and land in per-tile slots,
-    /// keeping the matrix bit-identical at every thread count.
+    /// Computes all pairwise values with one tiled pair-kernel pass on
+    /// `threads` workers (0 = all cores), reporting pool utilization —
+    /// per-worker chunk claims land in the recorder under the
+    /// `correlation_matrix` region. Each cell is a pure function of its
+    /// pair, so the matrix is bit-identical at every thread count.
     pub fn compute_observed(
         cols: &NodeColumns,
         measure: CorrelationMeasure,
         threads: usize,
         rec: &diffnet_observe::Recorder,
     ) -> Self {
-        let n = cols.num_nodes();
-        let ones = cols.ones_counts();
-        let tile = cols.pair_tile_size();
-        let num_tiles = n.div_ceil(tile);
-        let mut blocks: Vec<(std::ops::Range<usize>, std::ops::Range<usize>)> = Vec::new();
-        let mut costs: Vec<u64> = Vec::new();
-        for bi in 0..num_tiles {
-            let rows = bi * tile..((bi + 1) * tile).min(n);
-            for bj in bi..num_tiles {
-                let jcols = bj * tile..((bj + 1) * tile).min(n);
-                // Exact pair count of the block (diagonal blocks are
-                // triangular) — the block's scheduling weight.
-                let pairs: u64 = rows
-                    .clone()
-                    .map(|i| jcols.end.saturating_sub(jcols.start.max(i + 1)) as u64)
-                    .sum();
-                if pairs > 0 {
-                    blocks.push((rows.clone(), jcols));
-                    costs.push(pairs);
-                }
-            }
-        }
-        let lut = Log2Table::new(cols.num_processes() as u64);
-        let (tiles, pool) = crate::parallel::run_weighted_stats(
-            &costs,
-            4,
-            threads,
-            || (),
-            |_, b| {
-                let (rows, jcols) = &blocks[b];
-                let mut out: Vec<f64> = Vec::with_capacity(costs[b] as usize);
-                cols.pair_counts_block(rows.clone(), jcols.clone(), &ones, &mut |_, _, pc| {
-                    let cells = MiCells::from_counts_with(&pc, &lut);
-                    out.push(match measure {
-                        CorrelationMeasure::Imi => cells.imi(),
-                        CorrelationMeasure::Mi => cells.mi(),
-                    });
-                });
-                out
-            },
-        );
-        if rec.is_enabled() {
-            rec.worker_chunks("correlation_matrix", &pool.chunks_per_worker);
-            rec.add("correlation_pairs", (n * n.saturating_sub(1) / 2) as u64);
-            rec.add("correlation_tiles", blocks.len() as u64);
-        }
-        let mut values = vec![0.0; n * n];
-        for (b, block) in tiles.into_iter().enumerate() {
-            // Re-derive each value's pair by walking the block exactly the
-            // way `pair_counts_block` emits: row-major over `i`, then
-            // `j > i` within the column tile.
-            let (rows, jcols) = &blocks[b];
-            let mut vals = block.into_iter();
-            for i in rows.clone() {
-                for j in jcols.start.max(i + 1)..jcols.end {
-                    let v = vals.next().expect("one value per block pair");
-                    values[i * n + j] = v;
-                    values[j * n + i] = v;
-                }
-            }
-            debug_assert!(vals.next().is_none(), "block emitted extra pairs");
-        }
-        CorrelationMatrix { n, values }
+        Self::tiled(cols, measure, threads, rec, |v, _| v, |_, _, v| v).0
     }
 
     /// [`compute_observed`](Self::compute_observed) that also captures the
@@ -291,94 +311,58 @@ impl CorrelationMatrix {
         rec: &diffnet_observe::Recorder,
     ) -> (Self, PairStats) {
         let n = cols.num_nodes();
-        let ones = cols.ones_counts();
-        let tile = cols.pair_tile_size();
-        let num_tiles = n.div_ceil(tile);
-        let mut blocks: Vec<(std::ops::Range<usize>, std::ops::Range<usize>)> = Vec::new();
-        let mut costs: Vec<u64> = Vec::new();
-        for bi in 0..num_tiles {
-            let rows = bi * tile..((bi + 1) * tile).min(n);
-            for bj in bi..num_tiles {
-                let jcols = bj * tile..((bj + 1) * tile).min(n);
-                let pairs: u64 = rows
-                    .clone()
-                    .map(|i| jcols.end.saturating_sub(jcols.start.max(i + 1)) as u64)
-                    .sum();
-                if pairs > 0 {
-                    blocks.push((rows.clone(), jcols));
-                    costs.push(pairs);
-                }
-            }
-        }
+        let mut n11 = vec![0u64; n * n.saturating_sub(1) / 2];
+        let (corr, ones) = Self::tiled(
+            cols,
+            measure,
+            threads,
+            rec,
+            |v, c| (v, c),
+            |i, j, (v, c)| {
+                n11[tri_index(n, i, j)] = c;
+                v
+            },
+        );
+        let beta = cols.num_processes() as u64;
+        (corr, PairStats { n, beta, ones, n11 })
+    }
+
+    /// The matrix build both variants share: each pair's value and `n11`
+    /// go through `emit` into the tile outputs — plain `f64`s unless the
+    /// caller captures more — and `take` unpacks each output into the
+    /// matrix value, keeping whatever else it captured. Returns the matrix
+    /// and the per-column ones counts.
+    fn tiled<T: Send>(
+        cols: &NodeColumns,
+        measure: CorrelationMeasure,
+        threads: usize,
+        rec: &diffnet_observe::Recorder,
+        emit: impl Fn(f64, u64) -> T + Sync,
+        mut take: impl FnMut(usize, usize, T) -> f64,
+    ) -> (Self, Vec<u64>) {
+        let n = cols.num_nodes();
         let lut = Log2Table::new(cols.num_processes() as u64);
-        let (tiles, pool) = crate::parallel::run_weighted_stats(
-            &costs,
-            4,
+        let mut pass = tile_pass(
+            cols,
+            |_, _| true,
             threads,
             || (),
-            |_, b| {
-                let (rows, jcols) = &blocks[b];
-                let mut out: Vec<(f64, u64)> = Vec::with_capacity(costs[b] as usize);
-                cols.pair_counts_block(rows.clone(), jcols.clone(), &ones, &mut |_, _, pc| {
-                    let cells = MiCells::from_counts_with(&pc, &lut);
-                    let v = match measure {
-                        CorrelationMeasure::Imi => cells.imi(),
-                        CorrelationMeasure::Mi => cells.mi(),
-                    };
-                    out.push((v, pc.n11));
-                });
-                out
+            |(), out, _, _, pc| {
+                out.push(emit(measure.value(pc, &lut), pc.n11));
             },
         );
         if rec.is_enabled() {
-            rec.worker_chunks("correlation_matrix", &pool.chunks_per_worker);
-            rec.add("correlation_pairs", (n * n.saturating_sub(1) / 2) as u64);
-            rec.add("correlation_tiles", blocks.len() as u64);
+            rec.worker_chunks("correlation_matrix", &pass.pool.chunks_per_worker);
+            rec.add("correlation_pairs", pass.pairs);
+            rec.add("correlation_tiles", pass.num_tiles());
         }
         let mut values = vec![0.0; n * n];
-        let mut n11 = vec![0u64; n * n.saturating_sub(1) / 2];
-        for (b, block) in tiles.into_iter().enumerate() {
-            let (rows, jcols) = &blocks[b];
-            let mut vals = block.into_iter();
-            for i in rows.clone() {
-                for j in jcols.start.max(i + 1)..jcols.end {
-                    let (v, c) = vals.next().expect("one value per block pair");
-                    values[i * n + j] = v;
-                    values[j * n + i] = v;
-                    n11[tri_index(n, i, j)] = c;
-                }
-            }
-            debug_assert!(vals.next().is_none(), "block emitted extra pairs");
-        }
-        let stats = PairStats {
-            n,
-            beta: cols.num_processes() as u64,
-            ones,
-            n11,
-        };
-        (CorrelationMatrix { n, values }, stats)
-    }
-
-    /// The pre-tiling implementation: one [`NodeColumns::pair_counts`]
-    /// column walk per pair, single-threaded. Kept as the equivalence
-    /// oracle for the tiled kernel (results must stay bit-identical) and
-    /// as the baseline the benchmarks compare against.
-    pub fn compute_reference(cols: &NodeColumns, measure: CorrelationMeasure) -> Self {
-        let n = cols.num_nodes();
-        let lut = Log2Table::new(cols.num_processes() as u64);
-        let mut values = vec![0.0; n * n];
-        for i in 0..n {
-            for j in (i + 1)..n {
-                let cells = MiCells::from_counts_with(&cols.pair_counts(i as u32, j as u32), &lut);
-                let v = match measure {
-                    CorrelationMeasure::Imi => cells.imi(),
-                    CorrelationMeasure::Mi => cells.mi(),
-                };
-                values[i * n + j] = v;
-                values[j * n + i] = v;
-            }
-        }
-        CorrelationMatrix { n, values }
+        pass.scatter(|i, j, out| {
+            let v = take(i, j, out);
+            values[i * n + j] = v;
+            values[j * n + i] = v;
+        });
+        (CorrelationMatrix { n, values }, pass.ones)
     }
 
     /// Number of nodes.
@@ -559,50 +543,18 @@ impl PairStats {
             self.n,
             "appended cascades must cover the same nodes"
         );
-        let ones = appended.ones_counts();
-        let tile = appended.pair_tile_size();
-        let num_tiles = self.n.div_ceil(tile);
-        let mut blocks: Vec<(std::ops::Range<usize>, std::ops::Range<usize>)> = Vec::new();
-        let mut costs: Vec<u64> = Vec::new();
-        for bi in 0..num_tiles {
-            let rows = bi * tile..((bi + 1) * tile).min(self.n);
-            for bj in bi..num_tiles {
-                let jcols = bj * tile..((bj + 1) * tile).min(self.n);
-                let pairs: u64 = rows
-                    .clone()
-                    .map(|i| jcols.end.saturating_sub(jcols.start.max(i + 1)) as u64)
-                    .sum();
-                if pairs > 0 {
-                    blocks.push((rows.clone(), jcols));
-                    costs.push(pairs);
-                }
-            }
-        }
-        let (tiles, _) = crate::parallel::run_weighted_stats(
-            &costs,
-            4,
+        let mut pass = tile_pass(
+            appended,
+            |_, _| true,
             threads,
             || (),
-            |_, b| {
-                let (rows, jcols) = &blocks[b];
-                let mut out: Vec<u64> = Vec::with_capacity(costs[b] as usize);
-                appended.pair_counts_block(rows.clone(), jcols.clone(), &ones, &mut |_, _, pc| {
-                    out.push(pc.n11);
-                });
-                out
+            |(), out, _, _, pc| {
+                out.push(pc.n11);
             },
         );
-        for (b, block) in tiles.into_iter().enumerate() {
-            let (rows, jcols) = &blocks[b];
-            let mut vals = block.into_iter();
-            for i in rows.clone() {
-                for j in jcols.start.max(i + 1)..jcols.end {
-                    let c = vals.next().expect("one count per block pair");
-                    self.n11[tri_index(self.n, i, j)] += c;
-                }
-            }
-        }
-        for (o, &a) in self.ones.iter_mut().zip(ones.iter()) {
+        let n = self.n;
+        pass.scatter(|i, j, c| self.n11[tri_index(n, i, j)] += c);
+        for (o, &a) in self.ones.iter_mut().zip(pass.ones.iter()) {
             *o += a;
         }
         self.beta += appended.num_processes() as u64;
@@ -619,11 +571,7 @@ impl PairStats {
         let mut values = vec![0.0; n * n];
         for i in 0..n {
             for j in (i + 1)..n {
-                let cells = MiCells::from_counts_with(&self.pair_counts(i, j), &lut);
-                let v = match measure {
-                    CorrelationMeasure::Imi => cells.imi(),
-                    CorrelationMeasure::Mi => cells.mi(),
-                };
+                let v = measure.value(&self.pair_counts(i, j), &lut);
                 values[i * n + j] = v;
                 values[j * n + i] = v;
             }
@@ -636,6 +584,23 @@ impl PairStats {
 mod tests {
     use super::*;
     use diffnet_simulate::StatusMatrix;
+
+    /// The pre-tiling implementation: one [`NodeColumns::pair_counts`]
+    /// column walk per pair, single-threaded — the equivalence oracle for
+    /// the tiled kernel (results must stay bit-identical).
+    fn compute_reference(cols: &NodeColumns, measure: CorrelationMeasure) -> CorrelationMatrix {
+        let n = cols.num_nodes();
+        let lut = Log2Table::new(cols.num_processes() as u64);
+        let mut values = vec![0.0; n * n];
+        for i in 0..n {
+            for j in (i + 1)..n {
+                let v = measure.value(&cols.pair_counts(i as u32, j as u32), &lut);
+                values[i * n + j] = v;
+                values[j * n + i] = v;
+            }
+        }
+        CorrelationMatrix { n, values }
+    }
 
     fn counts(n11: u64, n10: u64, n01: u64, n00: u64) -> PairCounts {
         PairCounts { n11, n10, n01, n00 }
@@ -732,9 +697,14 @@ mod tests {
         let rows: Vec<Vec<bool>> = (0..96).map(|_| (0..40).map(|_| bit()).collect()).collect();
         let cols = StatusMatrix::from_rows(&rows).columns();
         for measure in [CorrelationMeasure::Imi, CorrelationMeasure::Mi] {
-            let oracle = CorrelationMatrix::compute_reference(&cols, measure);
+            let oracle = compute_reference(&cols, measure);
             for threads in [1usize, 4, 0] {
-                let par = CorrelationMatrix::compute_parallel(&cols, measure, threads);
+                let par = CorrelationMatrix::compute_observed(
+                    &cols,
+                    measure,
+                    threads,
+                    diffnet_observe::Recorder::disabled(),
+                );
                 for i in 0..40u32 {
                     for j in 0..40u32 {
                         assert_eq!(
@@ -784,9 +754,14 @@ mod tests {
             cols.pair_tile_size()
         );
         for measure in [CorrelationMeasure::Imi, CorrelationMeasure::Mi] {
-            let oracle = CorrelationMatrix::compute_reference(&cols, measure);
+            let oracle = compute_reference(&cols, measure);
             for threads in [1usize, 3] {
-                let tiled = CorrelationMatrix::compute_parallel(&cols, measure, threads);
+                let tiled = CorrelationMatrix::compute_observed(
+                    &cols,
+                    measure,
+                    threads,
+                    diffnet_observe::Recorder::disabled(),
+                );
                 for i in 0..100u32 {
                     for j in 0..100u32 {
                         assert_eq!(
@@ -840,7 +815,12 @@ mod tests {
     fn stats_capture_matches_plain_compute_bit_identically() {
         let cols = StatusMatrix::from_rows(&random_rows(0xA5A5, 130, 24)).columns();
         for measure in [CorrelationMeasure::Imi, CorrelationMeasure::Mi] {
-            let plain = CorrelationMatrix::compute_parallel(&cols, measure, 3);
+            let plain = CorrelationMatrix::compute_observed(
+                &cols,
+                measure,
+                3,
+                diffnet_observe::Recorder::disabled(),
+            );
             let (with_stats, stats) = CorrelationMatrix::compute_observed_with_stats(
                 &cols,
                 measure,
@@ -895,7 +875,12 @@ mod tests {
                 "incremental stats differ at {threads} threads"
             );
             let inc = stats.correlation(CorrelationMeasure::Imi);
-            let full = CorrelationMatrix::compute_parallel(&combined, CorrelationMeasure::Imi, 1);
+            let full = CorrelationMatrix::compute_observed(
+                &combined,
+                CorrelationMeasure::Imi,
+                1,
+                diffnet_observe::Recorder::disabled(),
+            );
             for i in 0..20u32 {
                 for j in 0..20u32 {
                     assert_eq!(inc.get(i, j).to_bits(), full.get(i, j).to_bits());

@@ -1,20 +1,20 @@
 //! Work-stealing parallel execution for the TENDS hot paths.
 //!
-//! Both parallel hot paths — the pairwise correlation matrix and the
+//! Both parallel hot paths — the pairwise correlation tiles and the
 //! per-node parent search — are embarrassingly parallel over an index
 //! range, but with *wildly* uneven per-index cost: a hub node's parent
-//! search can cost orders of magnitude more than a leaf's, and row `i` of
-//! the upper-triangular correlation loop does `n − i − 1` cell
-//! computations. Static range splitting therefore leaves threads idle;
-//! instead, workers repeatedly claim small chunks from a shared atomic
-//! counter ([`WorkQueue`]) until the range is drained.
+//! search can cost orders of magnitude more than a leaf's, and the
+//! diagonal tiles of the pair triangle hold half the pairs of the others.
+//! Static range splitting therefore leaves threads idle; instead, workers
+//! repeatedly claim the next chunk of a precomputed chunk list from a
+//! shared atomic counter until the list is drained. [`run_indexed`] cuts
+//! fixed-size chunks, [`run_weighted`] cost-balanced ones.
 //!
-//! Determinism: [`run_indexed`] requires the work function to be a pure
-//! function of its index (plus shared read-only captures). Results are
-//! written into a slot per index, so the output is identical regardless of
-//! thread count or claim interleaving — the property the
-//! `parallel_search_matches_sequential` and correlation determinism tests
-//! pin down.
+//! Determinism: the work function must be a pure function of its index
+//! (plus shared read-only captures). Results are written into a slot per
+//! index, so the output is identical regardless of thread count or claim
+//! interleaving — the property the `parallel_search_matches_sequential`
+//! and correlation determinism tests pin down.
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -28,35 +28,7 @@ pub fn resolve_threads(requested: usize, work_items: usize) -> usize {
     t.clamp(1, work_items.max(1))
 }
 
-/// A shared claim counter over `0..total`: each [`claim`](Self::claim)
-/// atomically hands out the next chunk of indices.
-pub struct WorkQueue {
-    next: AtomicUsize,
-    total: usize,
-    chunk: usize,
-}
-
-impl WorkQueue {
-    /// A queue over `0..total` handing out chunks of `chunk` indices.
-    pub fn new(total: usize, chunk: usize) -> Self {
-        WorkQueue {
-            next: AtomicUsize::new(0),
-            total,
-            chunk: chunk.max(1),
-        }
-    }
-
-    /// Claims the next chunk, or `None` once the range is drained.
-    pub fn claim(&self) -> Option<Range<usize>> {
-        let start = self.next.fetch_add(self.chunk, Ordering::Relaxed);
-        if start >= self.total {
-            return None;
-        }
-        Some(start..(start + self.chunk).min(self.total))
-    }
-}
-
-/// What one [`run_indexed_stats`] invocation did, per worker.
+/// What one pool invocation did, per worker.
 ///
 /// Worker order is the spawn order of the pool's threads; which *indices*
 /// each worker claimed depends on scheduling, so everything here except
@@ -74,32 +46,15 @@ pub struct PoolStats<S> {
 }
 
 /// Computes `work(state, i)` for every `i` in `0..total` on `threads`
-/// workers with work-stealing chunk claiming, returning the results in
-/// index order.
+/// workers claiming fixed chunks of `chunk` indices, returning the results
+/// in index order plus [`PoolStats`]: per-worker chunk claims and the
+/// workers' final states, so callers can report pool utilization and
+/// harvest counters accumulated in the scratch state.
 ///
 /// Each worker owns one `state` built by `init` (scratch space such as a
 /// counting workspace); `work` must be deterministic given its index, which
 /// makes the output independent of the thread count.
 pub fn run_indexed<T, S, I, W>(
-    total: usize,
-    chunk: usize,
-    threads: usize,
-    init: I,
-    work: W,
-) -> Vec<T>
-where
-    T: Send,
-    S: Send,
-    I: Fn() -> S + Sync,
-    W: Fn(&mut S, usize) -> T + Sync,
-{
-    run_indexed_stats(total, chunk, threads, init, work).0
-}
-
-/// [`run_indexed`] that additionally returns [`PoolStats`]: per-worker
-/// chunk-claim counts and the workers' final states, so callers can report
-/// pool utilization and harvest counters accumulated in the scratch state.
-pub fn run_indexed_stats<T, S, I, W>(
     total: usize,
     chunk: usize,
     threads: usize,
@@ -112,58 +67,12 @@ where
     I: Fn() -> S + Sync,
     W: Fn(&mut S, usize) -> T + Sync,
 {
-    let threads = resolve_threads(threads, total);
     let chunk = chunk.max(1);
-    if threads <= 1 {
-        let mut state = init();
-        let results = (0..total).map(|i| work(&mut state, i)).collect();
-        let stats = PoolStats {
-            threads: 1,
-            chunks_per_worker: vec![total.div_ceil(chunk) as u64],
-            states: vec![state],
-        };
-        return (results, stats);
-    }
-    let queue = WorkQueue::new(total, chunk);
-    let mut slots: Vec<Option<T>> = (0..total).map(|_| None).collect();
-    let mut chunks_per_worker = Vec::with_capacity(threads);
-    let mut states = Vec::with_capacity(threads);
-    std::thread::scope(|scope| {
-        let workers: Vec<_> = (0..threads)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut state = init();
-                    let mut local = Vec::new();
-                    let mut chunks = 0u64;
-                    while let Some(range) = queue.claim() {
-                        chunks += 1;
-                        for i in range {
-                            local.push((i, work(&mut state, i)));
-                        }
-                    }
-                    (local, chunks, state)
-                })
-            })
-            .collect();
-        for worker in workers {
-            let (local, chunks, state) = worker.join().expect("worker panicked");
-            for (i, value) in local {
-                slots[i] = Some(value);
-            }
-            chunks_per_worker.push(chunks);
-            states.push(state);
-        }
-    });
-    let results = slots
-        .into_iter()
-        .map(|v| v.expect("every index claimed once"))
+    let chunks: Vec<Range<usize>> = (0..total)
+        .step_by(chunk)
+        .map(|s| s..(s + chunk).min(total))
         .collect();
-    let stats = PoolStats {
-        threads,
-        chunks_per_worker,
-        states,
-    };
-    (results, stats)
+    run_chunks(&chunks, total, resolve_threads(threads, total), init, work)
 }
 
 /// Splits `0..costs.len()` into at most `target_chunks` contiguous ranges
@@ -213,32 +122,13 @@ pub fn cost_chunks(costs: &[u64], target_chunks: usize) -> Vec<Range<usize>> {
     out
 }
 
-/// [`run_indexed`]'s cost-aware sibling: computes `work(state, i)` for every
-/// `i` in `0..costs.len()`, scheduling cost-balanced chunks (see
-/// [`cost_chunks`]) instead of fixed-size ones.
+/// [`run_indexed`]'s cost-aware sibling: computes `work(state, i)` for
+/// every `i` in `0..costs.len()`, scheduling the chunks of
+/// `cost_chunks(costs, threads × chunks_per_thread)` instead of fixed-size
+/// ones. Several chunks per thread keep the work-stealing slack that
+/// absorbs cost *estimate* errors. Results land in per-index slots, so the
+/// output is bit-identical at every thread count.
 pub fn run_weighted<T, S, I, W>(
-    costs: &[u64],
-    chunks_per_thread: usize,
-    threads: usize,
-    init: I,
-    work: W,
-) -> Vec<T>
-where
-    T: Send,
-    S: Send,
-    I: Fn() -> S + Sync,
-    W: Fn(&mut S, usize) -> T + Sync,
-{
-    run_weighted_stats(costs, chunks_per_thread, threads, init, work).0
-}
-
-/// [`run_weighted`] that additionally returns [`PoolStats`].
-///
-/// Chunk boundaries are `cost_chunks(costs, threads × chunks_per_thread)`;
-/// several chunks per thread keep the work-stealing slack that absorbs cost
-/// *estimate* errors. Results land in per-index slots, so the output is
-/// bit-identical at every thread count, exactly like [`run_indexed_stats`].
-pub fn run_weighted_stats<T, S, I, W>(
     costs: &[u64],
     chunks_per_thread: usize,
     threads: usize,
@@ -251,9 +141,27 @@ where
     I: Fn() -> S + Sync,
     W: Fn(&mut S, usize) -> T + Sync,
 {
-    let total = costs.len();
-    let threads = resolve_threads(threads, total);
+    let threads = resolve_threads(threads, costs.len());
     let chunks = cost_chunks(costs, threads * chunks_per_thread.max(1));
+    run_chunks(&chunks, costs.len(), threads, init, work)
+}
+
+/// The pool body both schedules share: `threads` scoped workers claim
+/// `chunks` in order through one atomic counter, and every result lands in
+/// its index's slot. `chunks` must partition `0..total`.
+fn run_chunks<T, S, I, W>(
+    chunks: &[Range<usize>],
+    total: usize,
+    threads: usize,
+    init: I,
+    work: W,
+) -> (Vec<T>, PoolStats<S>)
+where
+    T: Send,
+    S: Send,
+    I: Fn() -> S + Sync,
+    W: Fn(&mut S, usize) -> T + Sync,
+{
     if threads <= 1 {
         let mut state = init();
         let results = (0..total).map(|i| work(&mut state, i)).collect();
@@ -275,9 +183,7 @@ where
                     let mut state = init();
                     let mut local = Vec::new();
                     let mut claimed = 0u64;
-                    loop {
-                        let c = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(range) = chunks.get(c) else { break };
+                    while let Some(range) = chunks.get(next.fetch_add(1, Ordering::Relaxed)) {
                         claimed += 1;
                         for i in range.clone() {
                             local.push((i, work(&mut state, i)));
@@ -322,19 +228,6 @@ mod tests {
     }
 
     #[test]
-    fn work_queue_drains_exactly_once() {
-        let q = WorkQueue::new(103, 7);
-        let mut seen = [false; 103];
-        while let Some(r) = q.claim() {
-            for i in r {
-                assert!(!seen[i], "index {i} claimed twice");
-                seen[i] = true;
-            }
-        }
-        assert!(seen.iter().all(|&s| s));
-    }
-
-    #[test]
     fn run_indexed_is_deterministic_and_ordered() {
         let expect: Vec<u64> = (0..500u64).map(|i| i * i).collect();
         for threads in [1, 2, 4, 0] {
@@ -345,21 +238,22 @@ mod tests {
                 threads,
                 || inits.fetch_add(1, Ordering::Relaxed),
                 |_, i| (i as u64) * (i as u64),
-            );
+            )
+            .0;
             assert_eq!(got, expect, "threads {threads}");
         }
     }
 
     #[test]
     fn run_indexed_empty_range() {
-        let got: Vec<u8> = run_indexed(0, 8, 4, || (), |_, _| unreachable!());
+        let got: Vec<u8> = run_indexed(0, 8, 4, || (), |_, _| unreachable!()).0;
         assert!(got.is_empty());
     }
 
     #[test]
     fn pool_stats_account_for_every_chunk_and_state() {
         for threads in [1usize, 3] {
-            let (got, stats) = run_indexed_stats(
+            let (got, stats) = run_indexed(
                 103,
                 7,
                 threads,
@@ -425,7 +319,7 @@ mod tests {
         let costs: Vec<u64> = (0..200u64).map(|i| i * i).collect();
         let expect: Vec<u64> = (0..200u64).map(|i| i + 7).collect();
         for threads in [1usize, 2, 4, 0] {
-            let got = run_weighted(&costs, 4, threads, || (), |_, i| i as u64 + 7);
+            let got = run_weighted(&costs, 4, threads, || (), |_, i| i as u64 + 7).0;
             assert_eq!(got, expect, "threads {threads}");
         }
     }
@@ -434,7 +328,7 @@ mod tests {
     fn run_weighted_stats_account_for_chunks_and_states() {
         let costs = vec![1u64; 50];
         for threads in [1usize, 3] {
-            let (got, stats) = run_weighted_stats(
+            let (got, stats) = run_weighted(
                 &costs,
                 2,
                 threads,
@@ -455,7 +349,7 @@ mod tests {
 
     #[test]
     fn run_weighted_empty_range() {
-        let got: Vec<u8> = run_weighted(&[], 4, 4, || (), |_, _| unreachable!());
+        let got: Vec<u8> = run_weighted(&[], 4, 4, || (), |_, _| unreachable!()).0;
         assert!(got.is_empty());
     }
 
@@ -471,7 +365,8 @@ mod tests {
                 *acc += 1;
                 *acc
             },
-        );
+        )
+        .0;
         assert_eq!(got, vec![1, 2, 3, 4, 5]);
     }
 }

@@ -20,7 +20,7 @@
 //! of re-refining the workspace partition. Cached reuse is bit-identical
 //! to recounting, which the reference-oracle test pins down.
 
-use crate::imi::CorrelationMatrix;
+use crate::imi::{CorrelationMatrix, PairStats};
 use crate::score::{self, CachedScore, ScoreCache, ScoreCacheStats};
 use diffnet_graph::NodeId;
 use diffnet_simulate::{ComboSizeError, CountsWorkspace, NodeColumns, MAX_TABULATED_PARENTS};
@@ -152,7 +152,9 @@ impl JointTable {
     }
 
     /// Folds another table over the same child and candidate set into this
-    /// one — the append step. Integer addition, exact at any order.
+    /// one — the append step. Integer addition, exact at any order; a sum
+    /// past `u64::MAX` (only a corrupted persisted table gets there)
+    /// saturates, which the replay's marginal check then rejects.
     ///
     /// # Panics
     ///
@@ -164,9 +166,38 @@ impl JointTable {
             "tables cover different candidate sets"
         );
         for (c, o) in self.cells.iter_mut().zip(other.cells.iter()) {
-            c[0] += o[0];
-            c[1] += o[1];
+            c[0] = c[0].saturating_add(o[0]);
+            c[1] = c[1].saturating_add(o[1]);
         }
+    }
+
+    /// Whether the table's marginals equal the pairwise statistics of the
+    /// same processes: the cells sum to `β`, the infected cells to the
+    /// child's ones count, and for each candidate `c` the infected cells
+    /// with `c`'s bit set to `n11(child, c)`. Persisted tables carry no
+    /// checksum of their own, so this is what keeps a corrupted one from
+    /// being replayed: `k·2^k` additions against statistics whose digest
+    /// the checkpoint load already verified.
+    pub(crate) fn agrees_with(&self, stats: &PairStats) -> bool {
+        let child = self.child as usize;
+        let (mut total, mut infected) = (0u128, 0u128);
+        let mut n11 = vec![0u128; self.candidates.len()];
+        for (j, cell) in self.cells.iter().enumerate() {
+            total += u128::from(cell[0]) + u128::from(cell[1]);
+            infected += u128::from(cell[1]);
+            for (t, count) in n11.iter_mut().enumerate() {
+                if (j >> t) & 1 == 1 {
+                    *count += u128::from(cell[1]);
+                }
+            }
+        }
+        total == u128::from(stats.num_processes())
+            && infected == u128::from(stats.ones()[child])
+            && self
+                .candidates
+                .iter()
+                .zip(&n11)
+                .all(|(&c, &k)| k == u128::from(stats.pair_counts(child, c as usize).n11))
     }
 }
 
@@ -373,38 +404,44 @@ pub struct NodeSearchResult {
     pub cache_stats: ScoreCacheStats,
 }
 
+/// Candidate order: correlation descending, node id ascending on ties. A
+/// total order (`total_cmp`, so a NaN smuggled into the matrix cannot
+/// panic the comparator), which is what makes the top-`max_candidates`
+/// set unique and bounded top-k selection exact and merge-order
+/// independent.
+pub(crate) fn rank(a: &(f64, NodeId), b: &(f64, NodeId)) -> Ordering {
+    b.0.total_cmp(&a.0).then(a.1.cmp(&b.1))
+}
+
+/// Keeps the top `max` entries of `list` under [`rank`], selecting in
+/// O(len) rather than sorting survivors only to discard most of them.
+pub(crate) fn prune(list: &mut Vec<(f64, NodeId)>, max: usize) {
+    if list.len() > max {
+        if max == 0 {
+            list.clear();
+        } else {
+            list.select_nth_unstable_by(max, rank);
+            list.truncate(max);
+        }
+    }
+}
+
 /// Candidate parents of `child`: all nodes whose correlation with `child`
-/// strictly exceeds `tau`, in descending correlation order, truncated to
-/// `max_candidates` (Algorithm 1 lines 10–12).
+/// strictly exceeds `tau`, in descending correlation order (ascending id
+/// on ties), truncated to `max_candidates` (Algorithm 1 lines 10–12).
 pub fn candidate_parents(
     corr: &CorrelationMatrix,
     child: NodeId,
     tau: f64,
     max_candidates: usize,
 ) -> Vec<NodeId> {
-    // Descending correlation, ascending node id as the tiebreak — a total
-    // order (total_cmp, so a NaN smuggled into the matrix cannot panic the
-    // comparator), so the top-`max_candidates` set is unique and partial
-    // selection returns exactly what a full sort + truncate would.
-    fn rank(a: &(f64, NodeId), b: &(f64, NodeId)) -> Ordering {
-        b.0.total_cmp(&a.0).then(a.1.cmp(&b.1))
-    }
     let n = corr.num_nodes() as u32;
     let mut cands: Vec<(f64, NodeId)> = (0..n)
         .filter(|&j| j != child)
         .map(|j| (corr.get(child, j), j))
         .filter(|&(v, _)| v > tau)
         .collect();
-    // Select the top `max_candidates` in O(n), then sort only those —
-    // instead of sorting all survivors just to discard most of them.
-    if cands.len() > max_candidates {
-        if max_candidates == 0 {
-            cands.clear();
-        } else {
-            cands.select_nth_unstable_by(max_candidates, rank);
-            cands.truncate(max_candidates);
-        }
-    }
+    prune(&mut cands, max_candidates);
     cands.sort_unstable_by(rank);
     cands.into_iter().map(|(_, j)| j).collect()
 }

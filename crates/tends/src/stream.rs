@@ -31,19 +31,19 @@
 //!    logical reconstruction merge by edge union — each child node's
 //!    parents are computed by exactly one shard.
 //!
-//! The tile schedule is byte-for-byte the one
-//! [`crate::CorrelationMatrix::compute_observed`] uses (same
+//! The fold runs the same tile pass as
+//! [`crate::CorrelationMatrix::compute_observed`] (same
 //! [`NodeColumns::pair_tile_size`] tiles, same exact-pair-count claim
 //! weights, same emission order), so the streamed path inherits the dense
 //! path's SIMD kernel and its bit-identity guarantees; the dense path
 //! stays available as the equivalence oracle.
 
-use crate::imi::{CorrelationMeasure, Log2Table, MiCells};
+use crate::imi::{tile_pass, CorrelationMeasure, Log2Table};
 use crate::kmeans::{pinned_two_means, PinnedKmeans};
 use crate::parallel;
+use crate::search::{prune, rank};
 use diffnet_graph::NodeId;
 use diffnet_simulate::NodeColumns;
-use std::cmp::Ordering;
 use std::ops::Range;
 
 /// A contiguous node range `start..end` owned by one worker or job of a
@@ -109,25 +109,6 @@ pub fn plan_shards(n: usize, count: usize) -> Vec<Shard> {
             end: r.end as NodeId,
         })
         .collect()
-}
-
-/// Same candidate order as `candidate_parents`: value descending, node id
-/// ascending on ties. A total order (via `total_cmp`), which is what
-/// makes bounded top-k selection exact and merge-order-independent.
-fn rank(a: &(f64, NodeId), b: &(f64, NodeId)) -> Ordering {
-    b.0.total_cmp(&a.0).then(a.1.cmp(&b.1))
-}
-
-/// Keeps the top `max` entries of `list` under [`rank`].
-fn prune(list: &mut Vec<(f64, NodeId)>, max: usize) {
-    if list.len() > max {
-        if max == 0 {
-            list.clear();
-        } else {
-            list.select_nth_unstable_by(max, rank);
-            list.truncate(max);
-        }
-    }
 }
 
 /// Bounded per-node candidate lists for one node-range shard: the
@@ -274,21 +255,6 @@ fn pair_at(rank: u64, n: u64) -> (NodeId, NodeId) {
     (i as NodeId, j as NodeId)
 }
 
-#[inline]
-fn pair_value(
-    cols: &NodeColumns,
-    i: NodeId,
-    j: NodeId,
-    measure: CorrelationMeasure,
-    lut: &Log2Table,
-) -> f64 {
-    let cells = MiCells::from_counts_with(&cols.pair_counts(i, j), lut);
-    match measure {
-        CorrelationMeasure::Imi => cells.imi(),
-        CorrelationMeasure::Mi => cells.mi(),
-    }
-}
-
 /// Estimates τ from a deterministic systematic sample of the pair
 /// population: every `stride`-th pair of the canonical rank order, scored
 /// with the per-pair oracle kernel and fed to the same
@@ -320,14 +286,14 @@ pub fn sample_tau(
     let stride = total.div_ceil(cap);
     let count = total.div_ceil(stride);
     let lut = Log2Table::new(cols.num_processes() as u64);
-    let values = parallel::run_indexed(
+    let (values, _) = parallel::run_indexed(
         count as usize,
         4096,
         threads,
         || (),
         |(), s| {
             let (i, j) = pair_at(s as u64 * stride, n);
-            pair_value(cols, i, j, measure, &lut)
+            measure.value(&cols.pair_counts(i, j), &lut)
         },
     );
     TauSample {
@@ -379,78 +345,48 @@ pub fn fold_candidates(
     shard: Shard,
     threads: usize,
 ) -> FoldOutcome {
-    let n = cols.num_nodes();
-    debug_assert!(shard.end as usize <= n && shard.start <= shard.end);
-    let ones = cols.ones_counts();
-    let tile = cols.pair_tile_size();
-    let num_tiles = n.div_ceil(tile);
-    let mut blocks: Vec<(Range<usize>, Range<usize>)> = Vec::new();
-    let mut costs: Vec<u64> = Vec::new();
-    for bi in 0..num_tiles {
-        let rows = bi * tile..((bi + 1) * tile).min(n);
-        for bj in bi..num_tiles {
-            let jcols = bj * tile..((bj + 1) * tile).min(n);
-            let pairs: u64 = rows
-                .clone()
-                .map(|i| jcols.end.saturating_sub(jcols.start.max(i + 1)) as u64)
-                .sum();
-            // A pair (i, j) lands in the block whose rows contain i and
-            // whose jcols contain j, so scanning every block that touches
-            // the shard on either axis covers all the shard's pairs.
-            if pairs > 0 && (shard.touches(&rows) || shard.touches(&jcols)) {
-                blocks.push((rows.clone(), jcols));
-                costs.push(pairs);
-            }
-        }
-    }
-    let scanned_pairs: u64 = costs.iter().sum();
+    debug_assert!(shard.end as usize <= cols.num_nodes() && shard.start <= shard.end);
     let lut = Log2Table::new(cols.num_processes() as u64);
-    let (above_counts, pool) = parallel::run_weighted_stats(
-        &costs,
-        4,
+    // A pair (i, j) lands in the tile whose rows contain i and whose
+    // columns contain j, so scanning every tile that touches the shard on
+    // either axis covers all the shard's pairs.
+    let pass = tile_pass::<_, ()>(
+        cols,
+        |rows, jcols| shard.touches(rows) || shard.touches(jcols),
         threads,
-        || SparseCandidates::new(shard, max_candidates),
-        |acc, b| {
-            let (rows, jcols) = &blocks[b];
-            let mut above = 0u64;
-            cols.pair_counts_block(rows.clone(), jcols.clone(), &ones, &mut |i, j, pc| {
-                let cells = MiCells::from_counts_with(&pc, &lut);
-                let v = match measure {
-                    CorrelationMeasure::Imi => cells.imi(),
-                    CorrelationMeasure::Mi => cells.mi(),
-                };
-                if v > tau {
-                    let in_i = shard.contains(i);
-                    let in_j = shard.contains(j);
-                    if in_i || in_j {
-                        above += 1;
-                    }
-                    if in_i {
-                        acc.insert(i, v, j);
-                    }
-                    if in_j {
-                        acc.insert(j, v, i);
-                    }
+        || (SparseCandidates::new(shard, max_candidates), 0u64),
+        |(acc, above), _, i, j, pc| {
+            let v = measure.value(pc, &lut);
+            if v > tau {
+                let in_i = shard.contains(i);
+                let in_j = shard.contains(j);
+                if in_i || in_j {
+                    *above += 1;
                 }
-            });
-            above
+                if in_i {
+                    acc.insert(i, v, j);
+                }
+                if in_j {
+                    acc.insert(j, v, i);
+                }
+            }
         },
     );
-    let mut states = pool.states.into_iter();
-    let mut acc = states
-        .next()
-        .unwrap_or_else(|| SparseCandidates::new(shard, max_candidates));
-    for partial in states {
+    let tiles = pass.num_tiles();
+    let mut acc = SparseCandidates::new(shard, max_candidates);
+    let mut pairs_above_tau = 0;
+    for (partial, above) in pass.pool.states {
         acc.merge(partial);
+        pairs_above_tau += above;
     }
     let (candidates, candidate_evictions) = acc.finish();
     FoldOutcome {
         candidates,
-        pairs_above_tau: above_counts.iter().sum(),
+        pairs_above_tau,
         candidate_evictions,
-        tiles: blocks.len() as u64,
-        scanned_pairs,
-        chunks_per_worker: pool.chunks_per_worker,
+        tiles,
+        scanned_pairs: pass.pairs,
+        chunks_per_worker: pass.pool.chunks_per_worker,
     }
 }
 

@@ -115,10 +115,10 @@ proptest! {
         use diffnet::tends::CorrelationMatrix;
         let cols = m.columns();
         let n = m.num_nodes() as u32;
-        let seq = CorrelationMatrix::compute_parallel(&cols, CorrelationMeasure::Imi, 1);
+        let seq = CorrelationMatrix::compute_observed(&cols, CorrelationMeasure::Imi, 1, Recorder::disabled());
         for threads in [4usize, 0] {
             let par =
-                CorrelationMatrix::compute_parallel(&cols, CorrelationMeasure::Imi, threads);
+                CorrelationMatrix::compute_observed(&cols, CorrelationMeasure::Imi, threads, Recorder::disabled());
             for i in 0..n {
                 for j in 0..n {
                     prop_assert_eq!(

@@ -98,7 +98,7 @@ fn bench_greedy_search(c: &mut Criterion) {
     let (_, obs) = workload(2);
     let cols = obs.statuses.columns();
     let corr = CorrelationMatrix::compute(&cols, CorrelationMeasure::Imi);
-    let tau = pinned_two_means(&corr.upper_triangle()).tau;
+    let tau = pinned_two_means(corr.upper_triangle()).tau;
     let params = SearchParams::default();
     let candidates: Vec<Vec<u32>> = (0..200u32)
         .map(|i| candidate_parents(&corr, i, tau, params.max_candidates))
@@ -142,7 +142,7 @@ fn bench_imi_and_kmeans(c: &mut Criterion) {
     let corr = CorrelationMatrix::compute(&cols, CorrelationMeasure::Imi);
     let values = corr.upper_triangle();
     c.bench_function("kmeans/pinned_two_means_n200", |b| {
-        b.iter(|| black_box(pinned_two_means(&values)))
+        b.iter(|| black_box(pinned_two_means(values)))
     });
 }
 

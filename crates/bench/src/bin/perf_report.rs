@@ -27,6 +27,11 @@
 //!   +10% cascade batch, re-estimated warm from the checkpoint's
 //!   sufficient statistics vs a full checkpointed re-run of the combined
 //!   matrix, with the dirty/reused node split from the run counters;
+//! * the dense statistics stage at the `offline_dense` benchmark shape
+//!   (n=3000, β=500, 2 threads; n=1000 under `--quick`): the
+//!   `correlation_matrix`, `threshold` and `candidate_pruning` phase
+//!   seconds as min/median/max over the repetitions, plus the sampled
+//!   peak RSS. It runs first, so no earlier row's heap inflates the peak;
 //! * the serving layer over loopback: `/v1/healthz` round-trips per
 //!   second and the end-to-end submit→done latency of an HTTP-submitted
 //!   job (upload, queue, reconstruction, output writes, status long-poll),
@@ -234,6 +239,54 @@ fn scaling_row(n: usize, t1: f64, t8: Option<f64>) -> Json {
     row
 }
 
+/// `{min, median, max}` of a non-empty sample.
+fn spread(mut xs: Vec<f64>) -> Json {
+    xs.sort_by(f64::total_cmp);
+    let mut row = Json::object();
+    row.push("min", xs[0]);
+    row.push("median", xs[xs.len() / 2]);
+    row.push("max", xs[xs.len() - 1]);
+    row
+}
+
+/// The dense statistics stage at the `offline_dense` benchmark shape:
+/// `reps` instrumented dense reconstructions on 2 threads, with the
+/// stage's three phases as `{min, median, max}` seconds and the sampled
+/// peak RSS across the repetitions.
+fn dense_stage_row(n: usize, beta: usize, reps: usize) -> Json {
+    const PHASES: [&str; 3] = ["correlation_matrix", "threshold", "candidate_pruning"];
+    const THREADS: usize = 2;
+    let statuses = status_workload(n, beta, 14);
+    let profiler =
+        diffnet_observe::ResourceProfiler::start(diffnet_observe::DEFAULT_SAMPLE_INTERVAL);
+    let mut seconds: Vec<Vec<f64>> = vec![Vec::new(); PHASES.len()];
+    for _ in 0..reps {
+        let recorder = Recorder::new();
+        Tends::with_config(TendsConfig {
+            threads: THREADS,
+            ..Default::default()
+        })
+        .reconstruct_observed(&statuses, &recorder)
+        .expect("default search fits");
+        let phases = recorder.snapshot().phases;
+        for (name, secs) in PHASES.iter().zip(&mut seconds) {
+            let phase = phases.iter().find(|(p, _)| p == name);
+            secs.push(phase.expect("dense phase recorded").1);
+        }
+    }
+    let profile = profiler.stop();
+    let mut row = Json::object();
+    row.push("n", n as u64);
+    row.push("beta", beta as u64);
+    row.push("threads", THREADS as u64);
+    row.push("reps", reps as u64);
+    for (name, secs) in PHASES.iter().zip(seconds) {
+        row.push(format!("{name}_s"), spread(secs));
+    }
+    row.push("peak_rss_bytes", profile.peak_rss_bytes);
+    row
+}
+
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick")
         || std::env::var("DIFFNET_QUICK").is_ok_and(|v| v == "1");
@@ -247,6 +300,10 @@ fn main() {
     // β=150 a column is a single lane group and per-pair call overhead
     // dominates; β=8192 streams 128 words per column pair.
     let (n_deep, beta_deep) = if quick { (120, 2048) } else { (400, 8192) };
+
+    let n_dense = if quick { 1000 } else { 3000 };
+    eprintln!("perf_report: dense statistics stage (n={n_dense}, beta=500)");
+    let dense_stage = dense_stage_row(n_dense, 500, reps);
 
     eprintln!("perf_report: generating workloads (n={n_small}, n={n_large}, beta={beta})");
     let small = status_workload(n_small, beta, 11);
@@ -340,7 +397,7 @@ fn main() {
     // candidates.
     eprintln!("perf_report: greedy search (n={n_small})");
     let corr = CorrelationMatrix::compute(&small_cols, CorrelationMeasure::Imi);
-    let tau = diffnet_tends::pinned_two_means(&corr.upper_triangle()).tau;
+    let tau = diffnet_tends::pinned_two_means(corr.upper_triangle()).tau;
     let params = SearchParams::default();
     let candidates: Vec<Vec<u32>> = (0..n_small as u32)
         .map(|i| diffnet_tends::search::candidate_parents(&corr, i, tau, params.max_candidates))
@@ -567,10 +624,10 @@ fn main() {
 
     // Streamed IMI at out-of-core scale: τ from the deterministic pair
     // sample, then the tiled fold into bounded sparse candidate
-    // accumulators — the dense n×n matrix is never allocated, which is
-    // what makes this n feasible at all (dense f64 storage for n=100,000
-    // would be ~80 GB). Peak RSS is profiled so the row demonstrates the
-    // memory bound, not just the throughput.
+    // accumulators — the dense matrix is never allocated, which is what
+    // makes this n feasible at all (its f64 upper triangle alone for
+    // n=100,000 would be ~40 GB). Peak RSS is profiled so the row
+    // demonstrates the memory bound, not just the throughput.
     let (n_stream, beta_stream) = if quick { (10_000, 64) } else { (100_000, 64) };
     let stream_budget: u64 = 512 << 20;
     eprintln!("perf_report: streamed IMI (n={n_stream}, beta={beta_stream})");
@@ -655,6 +712,7 @@ fn main() {
     json.push("pair_kernel", pair);
 
     json.push("imi_matrix", scaling_row(n_large, imi_1, imi_8));
+    json.push("dense_stage", dense_stage);
     json.push("reconstruction", scaling_row(n_small, rec_1, rec_8));
 
     let rows: Vec<Json> = kernels

@@ -204,26 +204,27 @@ pub enum Parsed {
 ///
 /// Pure and incremental: the reactor calls it after every readiness
 /// event with whatever has accumulated in the connection's read buffer.
-/// The head cap is enforced as soon as the buffered head exceeds it, and
-/// the body cap as soon as `Content-Length` is parsed — before the body
-/// is buffered, so a hostile declared length costs nothing.
+/// The head cap is enforced as soon as the cap plus a terminator's four
+/// bytes are buffered without a terminator, and the body cap as soon as
+/// `Content-Length` is parsed — before the body is buffered, so a hostile
+/// declared length costs nothing. The outcome depends only on the bytes,
+/// not on how reads cut them: a pipelined stream fed in any pieces
+/// yields the same requests and the same error as one buffer.
 pub fn parse_buffered(buf: &[u8], limits: &Limits) -> Result<Parsed, HttpError> {
     // Only the head window needs scanning for the terminator; the +4
-    // allows a terminator straddling the cap boundary.
-    let window = buf.len().min(limits.max_head_bytes + 4);
-    let Some(head_end) = find_head_end(&buf[..window]) else {
-        if buf.len() >= limits.max_head_bytes {
+    // allows a terminator straddling the cap boundary. The head is too
+    // large only once the whole window is buffered without one, so a
+    // short read near the cap waits instead of failing a head the full
+    // window would complete.
+    let window = limits.max_head_bytes + 4;
+    let Some(head_end) = find_head_end(&buf[..buf.len().min(window)]) else {
+        if buf.len() >= window {
             return Err(HttpError::HeadTooLarge {
                 limit: limits.max_head_bytes,
             });
         }
         return Ok(Parsed::NeedMore);
     };
-    if head_end > limits.max_head_bytes + 4 {
-        return Err(HttpError::HeadTooLarge {
-            limit: limits.max_head_bytes,
-        });
-    }
     let head_text = std::str::from_utf8(&buf[..head_end])
         .map_err(|_| HttpError::Malformed("request head is not UTF-8".to_string()))?;
 
@@ -345,14 +346,17 @@ fn declared_length(head: &[u8]) -> Option<usize> {
     None
 }
 
-/// Locates the end of the head (the byte after `\r\n\r\n` or, leniently,
-/// `\n\n`).
+/// Locates the end of the head: the byte after the first `\r\n\r\n` or,
+/// leniently, `\n\n` — whichever ends first. The earliest end depends
+/// only on the bytes up to it, so a pipelined stream splits into the
+/// same heads however its reads were cut.
 fn find_head_end(bytes: &[u8]) -> Option<usize> {
-    bytes
-        .windows(4)
-        .position(|w| w == b"\r\n\r\n")
-        .map(|p| p + 4)
-        .or_else(|| bytes.windows(2).position(|w| w == b"\n\n").map(|p| p + 2))
+    (1..bytes.len())
+        .find(|&i| {
+            bytes[i] == b'\n'
+                && (bytes[i - 1] == b'\n' || (i >= 3 && &bytes[i - 3..i] == b"\r\n\r"))
+        })
+        .map(|i| i + 1)
 }
 
 /// Splits a request target into path and query pairs.

@@ -2166,6 +2166,52 @@ mod tests {
     }
 
     #[test]
+    fn truncated_job_json_loads_the_same_job_or_fails_typed() {
+        // A real job.json: a finished tends job's.
+        let dir = tmp_dir("truncated-meta");
+        let (m, _) = manager(&dir);
+        let body = statuses_bytes(&sample_statuses(30, 6));
+        let id = m.submit(JobSpec::default(), &body).expect("submit").id;
+        let done = wait_terminal(&m, id);
+        m.shutdown_and_join();
+        let path = m.job_dir(id).join("job.json");
+        let bytes = fs::read(&path).expect("read job.json");
+        let shown = format!("{path:?}");
+        let mut loaded = 0;
+        for cut in 0..=bytes.len() {
+            fs::write(&path, &bytes[..cut]).expect("write prefix");
+            match JobManager::new(
+                &dir,
+                1,
+                Arc::new(AtomicBool::new(false)),
+                Arc::new(Recorder::new()),
+                Arc::new(FaultPlan::disabled()),
+            ) {
+                Ok(reopened) => {
+                    let jobs = reopened.list();
+                    reopened.shutdown_and_join();
+                    assert_eq!(jobs, vec![done.clone()], "prefix of {cut} bytes");
+                    loaded += 1;
+                }
+                Err(e) => {
+                    let msg = e.to_string();
+                    assert!(msg.contains(&shown), "prefix of {cut} bytes: {msg}");
+                }
+            }
+        }
+        // The whole file (and at most its trailing whitespace cut away)
+        // loads; every shorter prefix is refused.
+        assert!(loaded >= 1, "the full job.json did not load");
+        assert!(
+            bytes[bytes.len() - loaded + 1..]
+                .iter()
+                .all(u8::is_ascii_whitespace),
+            "{loaded} prefixes loaded"
+        );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn job_report_injects_runtime_job_only() {
         let rec = Recorder::new();
         {

@@ -26,7 +26,7 @@ pub fn correlation_threshold_baseline(statuses: &StatusMatrix, config: &TendsCon
     );
     let tau = config
         .threshold
-        .resolve(pinned_two_means(&corr.upper_triangle()).tau);
+        .resolve(pinned_two_means(corr.upper_triangle()).tau);
 
     let mut b = GraphBuilder::new(n);
     for i in 0..n as NodeId {

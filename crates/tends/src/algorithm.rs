@@ -7,8 +7,8 @@ use crate::kmeans::{pinned_two_means, PinnedKmeans};
 use crate::parallel;
 use crate::score::ScoreCacheStats;
 use crate::search::{
-    candidate_parents, find_parents_reference, find_parents_with, JointTable, NodeSearchResult,
-    SearchError, SearchParams, SearchScratch, SearchStats,
+    find_parents_reference, find_parents_with, JointTable, NodeSearchResult, SearchError,
+    SearchParams, SearchScratch, SearchStats,
 };
 use crate::stream::{self, Shard};
 use diffnet_graph::{DiGraph, GraphBuilder, NodeId};
@@ -554,24 +554,22 @@ impl Tends {
     /// The statistics stage over a dense correlation matrix, shared by the
     /// dense and append sources: τ from the pinned 2-means over the
     /// non-negative upper-triangle values (Algorithm 1 line 5), then each
-    /// node's ranked candidates above τ (lines 10–12).
+    /// node's ranked candidates above τ (lines 10–12) from one fold of the
+    /// triangle into the streamed path's sparse accumulator.
     fn threshold_and_candidates(&self, corr: &CorrelationMatrix, rec: &Recorder) -> Stage {
-        let (kmeans, upper) = {
+        let kmeans = {
             let _p = rec.phase("threshold");
-            let upper = corr.upper_triangle();
-            (pinned_two_means(&upper), upper)
+            pinned_two_means(corr.upper_triangle())
         };
         let tau = self.record_tau(&kmeans, rec);
-        if rec.is_enabled() {
-            let above = upper.iter().filter(|&&v| v > tau).count();
-            rec.add("pairs_above_tau", above as u64);
-        }
-        drop(upper);
-        let candidates: Vec<Vec<NodeId>> = {
+        let candidates = {
             let _p = rec.phase("candidate_pruning");
-            (0..corr.num_nodes() as NodeId)
-                .map(|i| candidate_parents(corr, i, tau, self.config.search.max_candidates))
-                .collect()
+            let (candidates, above) =
+                stream::fold_dense(corr, tau, self.config.search.max_candidates);
+            if rec.is_enabled() {
+                rec.add("pairs_above_tau", above);
+            }
+            candidates
         };
         if rec.is_enabled() {
             for cands in &candidates {

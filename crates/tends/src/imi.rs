@@ -16,6 +16,7 @@ use crate::parallel::{self, PoolStats};
 use diffnet_graph::NodeId;
 use diffnet_simulate::{NodeColumns, PairCounts};
 use std::ops::Range;
+use std::sync::Mutex;
 
 /// One cell of the mutual-information sum:
 /// `p_ab · log₂(p_ab / (p_a · p_b))`, with `0 log 0 = 0`.
@@ -168,38 +169,16 @@ impl CorrelationMeasure {
     }
 }
 
-/// Outcome of one [`tile_pass`]: the scanned tiles, each tile's
-/// positional outputs, the pool's per-worker states, and the per-column
-/// ones counts the kernel derived its cells from.
-pub(crate) struct TilePass<S, T> {
-    tiles: Vec<(Range<usize>, Range<usize>)>,
-    outputs: Vec<Vec<T>>,
+/// Outcome of one [`tile_pass`]: the pool's per-worker states and tile
+/// counts, and the per-column ones counts the kernel derived its cells
+/// from.
+pub(crate) struct TilePass<S> {
     pub(crate) pool: PoolStats<S>,
     pub(crate) ones: Vec<u64>,
+    /// Tiles scanned.
+    pub(crate) tiles: u64,
     /// Pairs across the scanned tiles.
     pub(crate) pairs: u64,
-}
-
-impl<S, T> TilePass<S, T> {
-    /// Number of tiles scanned.
-    pub(crate) fn num_tiles(&self) -> u64 {
-        self.tiles.len() as u64
-    }
-
-    /// Hands every tile output to `put(i, j, value)`, re-deriving each
-    /// value's pair by walking the tile exactly the way the kernel emits:
-    /// row-major over `i`, then `j > i` within the column range.
-    pub(crate) fn scatter(&mut self, mut put: impl FnMut(usize, usize, T)) {
-        for ((rows, jcols), out) in self.tiles.iter().zip(std::mem::take(&mut self.outputs)) {
-            let mut vals = out.into_iter();
-            for i in rows.clone() {
-                for j in jcols.start.max(i + 1)..jcols.end {
-                    put(i, j, vals.next().expect("one value per tile pair"));
-                }
-            }
-            debug_assert!(vals.next().is_none(), "tile emitted extra pairs");
-        }
-    }
 }
 
 /// The one pass of the cache-blocked [`NodeColumns::pair_counts_block`]
@@ -216,17 +195,20 @@ impl<S, T> TilePass<S, T> {
 /// short-circuit the word walk entirely. Tiles are scheduled cost-aware —
 /// each tile's claim weight is its exact pair count — so the dense
 /// diagonal tiles don't serialize the pool. `visit` sees each pair with
-/// its worker's state and its tile's output vector; outputs are
-/// *positional* (the kernel's deterministic emission order, see
-/// [`TilePass::scatter`]) and land in per-tile slots, so everything built
-/// from them is bit-identical at every thread count.
+/// its worker's state and the tile's output buffer; once the tile is
+/// scanned, `store(rows, cols, outputs)` receives the outputs in the
+/// kernel's emission order — row-major over `i`, then `j > i` within the
+/// column range, i.e. one contiguous [`TriangleBlocks`] segment per row.
+/// Each output is a pure function of its pair, so everything built from
+/// them is bit-identical at every thread count.
 pub(crate) fn tile_pass<S: Send, T: Send>(
     cols: &NodeColumns,
     keep: impl Fn(&Range<usize>, &Range<usize>) -> bool,
     threads: usize,
     init: impl Fn() -> S + Sync,
     visit: impl Fn(&mut S, &mut Vec<T>, NodeId, NodeId, &PairCounts) + Sync,
-) -> TilePass<S, T> {
+    store: impl Fn(&Range<usize>, &Range<usize>, &[T]) + Sync,
+) -> TilePass<S> {
     let n = cols.num_nodes();
     let ones = cols.ones_counts();
     let size = cols.pair_tile_size();
@@ -248,26 +230,85 @@ pub(crate) fn tile_pass<S: Send, T: Send>(
             }
         }
     }
-    let (outputs, pool) = parallel::run_weighted(&costs, 4, threads, init, |state, t| {
+    let worker_init = || (init(), Vec::new());
+    let (_, pool) = parallel::run_weighted(&costs, 4, threads, worker_init, |(state, out), t| {
         let (rows, jcols) = &tiles[t];
-        let mut out = Vec::with_capacity(costs[t] as usize);
+        out.clear();
         cols.pair_counts_block(rows.clone(), jcols.clone(), &ones, &mut |i, j, pc| {
-            visit(state, &mut out, i, j, &pc)
+            visit(state, out, i, j, &pc)
         });
-        out
+        store(rows, jcols, out);
     });
     TilePass {
-        tiles,
-        outputs,
-        pool,
+        pool: PoolStats {
+            threads: pool.threads,
+            chunks_per_worker: pool.chunks_per_worker,
+            states: pool.states.into_iter().map(|(state, _)| state).collect(),
+        },
         ones,
+        tiles: tiles.len() as u64,
         pairs: costs.iter().sum(),
     }
 }
 
-/// Symmetric matrix of pairwise correlation values over all node pairs.
+/// A row-major strict-upper-triangle buffer cut at the [`tile_pass`]
+/// row-block boundaries, so the workers of one pass write their tiles'
+/// row segments in place: each row block sits behind its own lock, taken
+/// once per tile for the copy, never during the kernel.
+pub(crate) struct TriangleBlocks<'a, U> {
+    n: usize,
+    size: usize,
+    blocks: Vec<Mutex<&'a mut [U]>>,
+}
+
+impl<'a, U> TriangleBlocks<'a, U> {
+    /// Splits `tri` (length `n(n−1)/2`) into blocks of `size` rows.
+    pub(crate) fn new(tri: &'a mut [U], n: usize, size: usize) -> Self {
+        debug_assert_eq!(tri.len(), n * n.saturating_sub(1) / 2);
+        let mut blocks = Vec::new();
+        let mut rest = tri;
+        for start in (0..n).step_by(size.max(1)) {
+            let end = (start + size).min(n);
+            let (block, tail) = rest.split_at_mut(row_start(n, end) - row_start(n, start));
+            blocks.push(Mutex::new(block));
+            rest = tail;
+        }
+        TriangleBlocks { n, size, blocks }
+    }
+
+    /// Calls `f(segment, at)` for each row of tile `rows × jcols`, where
+    /// `segment` is the row's stretch of the triangle and `at` the offset
+    /// of its first pair in the tile's emission order.
+    pub(crate) fn for_each_row(
+        &self,
+        rows: &Range<usize>,
+        jcols: &Range<usize>,
+        mut f: impl FnMut(&mut [U], usize),
+    ) {
+        let n = self.n;
+        let mut block = self.blocks[rows.start / self.size]
+            .lock()
+            .expect("triangle block lock");
+        let base = row_start(n, rows.start);
+        let mut at = 0;
+        for i in rows.clone() {
+            let first = jcols.start.max(i + 1);
+            if first >= jcols.end {
+                continue;
+            }
+            let len = jcols.end - first;
+            let from = tri_index(n, i, first) - base;
+            f(&mut block[from..from + len], at);
+            at += len;
+        }
+    }
+}
+
+/// Symmetric matrix of pairwise correlation values over all node pairs,
+/// stored as its strict upper triangle (`n(n−1)/2` values) in the
+/// canonical row-major rank order of [`PairStats::n11`].
 ///
-/// The diagonal is unused and fixed at 0.
+/// The diagonal is unused and reads as 0.
 #[derive(Clone, Debug)]
 pub struct CorrelationMatrix {
     n: usize,
@@ -293,7 +334,7 @@ impl CorrelationMatrix {
         threads: usize,
         rec: &diffnet_observe::Recorder,
     ) -> Self {
-        Self::tiled(cols, measure, threads, rec, |v, _| v, |_, _, v| v).0
+        Self::tiled(cols, measure, threads, rec, None).0
     }
 
     /// [`compute_observed`](Self::compute_observed) that also captures the
@@ -312,56 +353,56 @@ impl CorrelationMatrix {
     ) -> (Self, PairStats) {
         let n = cols.num_nodes();
         let mut n11 = vec![0u64; n * n.saturating_sub(1) / 2];
-        let (corr, ones) = Self::tiled(
-            cols,
-            measure,
-            threads,
-            rec,
-            |v, c| (v, c),
-            |i, j, (v, c)| {
-                n11[tri_index(n, i, j)] = c;
-                v
-            },
-        );
+        let (corr, ones) = Self::tiled(cols, measure, threads, rec, Some(&mut n11));
         let beta = cols.num_processes() as u64;
         (corr, PairStats { n, beta, ones, n11 })
     }
 
-    /// The matrix build both variants share: each pair's value and `n11`
-    /// go through `emit` into the tile outputs — plain `f64`s unless the
-    /// caller captures more — and `take` unpacks each output into the
-    /// matrix value, keeping whatever else it captured. Returns the matrix
-    /// and the per-column ones counts.
-    fn tiled<T: Send>(
+    /// The matrix build both variants share: one tile pass whose workers
+    /// write each tile's values — and its `n11` counts when `n11` is
+    /// given — straight into the triangle. Returns the matrix and the
+    /// per-column ones counts.
+    fn tiled(
         cols: &NodeColumns,
         measure: CorrelationMeasure,
         threads: usize,
         rec: &diffnet_observe::Recorder,
-        emit: impl Fn(f64, u64) -> T + Sync,
-        mut take: impl FnMut(usize, usize, T) -> f64,
+        n11: Option<&mut [u64]>,
     ) -> (Self, Vec<u64>) {
         let n = cols.num_nodes();
+        let size = cols.pair_tile_size();
         let lut = Log2Table::new(cols.num_processes() as u64);
-        let mut pass = tile_pass(
-            cols,
-            |_, _| true,
-            threads,
-            || (),
-            |(), out, _, _, pc| {
-                out.push(emit(measure.value(pc, &lut), pc.n11));
-            },
-        );
+        let mut values = vec![0.0; n * n.saturating_sub(1) / 2];
+        let pass = {
+            let value_blocks = TriangleBlocks::new(&mut values, n, size);
+            let n11_blocks = n11.map(|n11| TriangleBlocks::new(n11, n, size));
+            tile_pass(
+                cols,
+                |_, _| true,
+                threads,
+                || (),
+                |(), out, _, _, pc| out.push((measure.value(pc, &lut), pc.n11)),
+                |rows, jcols, out: &[(f64, u64)]| {
+                    value_blocks.for_each_row(rows, jcols, |seg, at| {
+                        for (dst, &(v, _)) in seg.iter_mut().zip(&out[at..]) {
+                            *dst = v;
+                        }
+                    });
+                    if let Some(blocks) = &n11_blocks {
+                        blocks.for_each_row(rows, jcols, |seg, at| {
+                            for (dst, &(_, c)) in seg.iter_mut().zip(&out[at..]) {
+                                *dst = c;
+                            }
+                        });
+                    }
+                },
+            )
+        };
         if rec.is_enabled() {
             rec.worker_chunks("correlation_matrix", &pass.pool.chunks_per_worker);
             rec.add("correlation_pairs", pass.pairs);
-            rec.add("correlation_tiles", pass.num_tiles());
+            rec.add("correlation_tiles", pass.tiles);
         }
-        let mut values = vec![0.0; n * n];
-        pass.scatter(|i, j, out| {
-            let v = take(i, j, out);
-            values[i * n + j] = v;
-            values[j * n + i] = v;
-        });
         (CorrelationMatrix { n, values }, pass.ones)
     }
 
@@ -373,27 +414,34 @@ impl CorrelationMatrix {
     /// The value for pair `(i, j)`; 0 on the diagonal.
     #[inline]
     pub fn get(&self, i: u32, j: u32) -> f64 {
-        self.values[i as usize * self.n + j as usize]
+        let (a, b) = (i.min(j) as usize, i.max(j) as usize);
+        if a == b {
+            0.0
+        } else {
+            self.values[tri_index(self.n, a, b)]
+        }
     }
 
-    /// All strictly-upper-triangle values (each unordered pair once), the
-    /// input to threshold selection.
-    pub fn upper_triangle(&self) -> Vec<f64> {
-        let mut out = Vec::with_capacity(self.n * (self.n.saturating_sub(1)) / 2);
-        for i in 0..self.n {
-            for j in (i + 1)..self.n {
-                out.push(self.values[i * self.n + j]);
-            }
-        }
-        out
+    /// All strictly-upper-triangle values (each unordered pair once, in
+    /// row-major rank order), the input to threshold selection.
+    pub fn upper_triangle(&self) -> &[f64] {
+        &self.values
     }
+}
+
+/// Rank of the first pair `(i, i+1)` of row `i` in the row-major
+/// upper-triangle layout: `i·(2n − i − 1)/2` pairs precede it (`n(n−1)/2`
+/// at `i = n`).
+#[inline]
+pub(crate) fn row_start(n: usize, i: usize) -> usize {
+    i * (2 * n - i - 1) / 2
 }
 
 /// Index of pair `(i, j)` (`i < j`) in a row-major upper-triangle layout.
 #[inline]
-fn tri_index(n: usize, i: usize, j: usize) -> usize {
+pub(crate) fn tri_index(n: usize, i: usize, j: usize) -> usize {
     debug_assert!(i < j && j < n);
-    i * n - i * (i + 1) / 2 + (j - i - 1)
+    row_start(n, i) + (j - i - 1)
 }
 
 /// Pairwise sufficient statistics of a status matrix: `β`, the per-column
@@ -543,17 +591,22 @@ impl PairStats {
             self.n,
             "appended cascades must cover the same nodes"
         );
-        let mut pass = tile_pass(
+        let n = self.n;
+        let blocks = TriangleBlocks::new(&mut self.n11, n, appended.pair_tile_size());
+        let pass = tile_pass(
             appended,
             |_, _| true,
             threads,
             || (),
-            |(), out, _, _, pc| {
-                out.push(pc.n11);
+            |(), out, _, _, pc| out.push(pc.n11),
+            |rows, jcols, out: &[u64]| {
+                blocks.for_each_row(rows, jcols, |seg, at| {
+                    for (dst, &c) in seg.iter_mut().zip(&out[at..]) {
+                        *dst += c;
+                    }
+                });
             },
         );
-        let n = self.n;
-        pass.scatter(|i, j, c| self.n11[tri_index(n, i, j)] += c);
         for (o, &a) in self.ones.iter_mut().zip(pass.ones.iter()) {
             *o += a;
         }
@@ -568,12 +621,10 @@ impl PairStats {
     pub fn correlation(&self, measure: CorrelationMeasure) -> CorrelationMatrix {
         let n = self.n;
         let lut = Log2Table::new(self.beta);
-        let mut values = vec![0.0; n * n];
+        let mut values = Vec::with_capacity(self.n11.len());
         for i in 0..n {
             for j in (i + 1)..n {
-                let v = measure.value(&self.pair_counts(i, j), &lut);
-                values[i * n + j] = v;
-                values[j * n + i] = v;
+                values.push(measure.value(&self.pair_counts(i, j), &lut));
             }
         }
         CorrelationMatrix { n, values }
@@ -591,12 +642,10 @@ mod tests {
     fn compute_reference(cols: &NodeColumns, measure: CorrelationMeasure) -> CorrelationMatrix {
         let n = cols.num_nodes();
         let lut = Log2Table::new(cols.num_processes() as u64);
-        let mut values = vec![0.0; n * n];
+        let mut values = Vec::new();
         for i in 0..n {
             for j in (i + 1)..n {
-                let v = measure.value(&cols.pair_counts(i as u32, j as u32), &lut);
-                values[i * n + j] = v;
-                values[j * n + i] = v;
+                values.push(measure.value(&cols.pair_counts(i as u32, j as u32), &lut));
             }
         }
         CorrelationMatrix { n, values }

@@ -1,11 +1,12 @@
 //! Out-of-core streamed IMI: bounded sparse candidate accumulation and
 //! node-range sharding, without the dense `n × n` correlation matrix.
 //!
-//! The dense pipeline materializes [`crate::CorrelationMatrix`] — `8·n²`
-//! bytes, 80 GB at `n = 100,000` — even though everything downstream of
-//! the τ threshold only ever consumes per-node candidate *sets* of at
-//! most `max_candidates` entries. This module replaces the matrix with
-//! three memory-bounded pieces:
+//! The dense pipeline materializes [`crate::CorrelationMatrix`] — the
+//! `8·n(n−1)/2` bytes of its upper triangle, 40 GB at `n = 100,000` —
+//! even though everything downstream of the τ threshold only ever
+//! consumes per-node candidate *sets* of at most `max_candidates`
+//! entries. This module replaces the matrix with three memory-bounded
+//! pieces:
 //!
 //! 1. **τ from a deterministic systematic pair sample** ([`sample_tau`]):
 //!    every `stride`-th pair of the canonical upper-triangle rank order is
@@ -38,7 +39,7 @@
 //! path's SIMD kernel and its bit-identity guarantees; the dense path
 //! stays available as the equivalence oracle.
 
-use crate::imi::{tile_pass, CorrelationMeasure, Log2Table};
+use crate::imi::{row_start, tile_pass, CorrelationMatrix, CorrelationMeasure, Log2Table};
 use crate::kmeans::{pinned_two_means, PinnedKmeans};
 use crate::parallel;
 use crate::search::{prune, rank};
@@ -224,34 +225,30 @@ pub fn tau_sample_cap(total_pairs: u64, memory_budget: Option<u64>) -> u64 {
     const MIN_CAP: u64 = 1 << 16;
     const MAX_CAP: u64 = 1 << 21;
     // ~128 budget bytes per sampled pair: 8 for the f64 plus headroom for
-    // the sort the 2-means performs.
+    // the 2-means' sorted tail and its suffix sums (16 bytes per value
+    // above its bound; every value only in its guarded full-sort
+    // fallback).
     let cap = (memory_budget.unwrap_or(u64::MAX) / 128).clamp(MIN_CAP, MAX_CAP);
     cap.min(total_pairs).max(1)
-}
-
-/// Rank of pair `(i, j)`, `i < j`, in row-major upper-triangle order:
-/// `base(i) = i·(n−1) − i·(i−1)/2 = i·(2n − i − 1)/2` pairs precede
-/// row `i` (the factored form never underflows at `i = 0`).
-fn rank_base(i: u64, n: u64) -> u64 {
-    i * (2 * n - i - 1) / 2
 }
 
 /// Inverts a canonical upper-triangle rank back to its pair `(i, j)`.
 fn pair_at(rank: u64, n: u64) -> (NodeId, NodeId) {
     debug_assert!(n >= 2 && rank < n * (n - 1) / 2);
+    let base = |i: u64| row_start(n as usize, i as usize) as u64;
     // Largest i with base(i) <= rank; base is strictly increasing on
     // 0..n-1 and base(n-1) is the total pair count.
     let (mut lo, mut hi) = (0u64, n - 1);
     while lo + 1 < hi {
         let mid = (lo + hi) / 2;
-        if rank_base(mid, n) <= rank {
+        if base(mid) <= rank {
             lo = mid;
         } else {
             hi = mid;
         }
     }
     let i = lo;
-    let j = i + 1 + (rank - rank_base(i, n));
+    let j = i + 1 + (rank - base(i));
     (i as NodeId, j as NodeId)
 }
 
@@ -261,11 +258,11 @@ fn pair_at(rank: u64, n: u64) -> (NodeId, NodeId) {
 /// [`pinned_two_means`] as the dense path.
 ///
 /// Positional sampling (not reservoir) keeps the sampled multiset a pure
-/// function of `(n, budget)`: the 2-means sorts internally, so the same
-/// multiset yields the same τ bits at every thread count, SIMD tier, and
-/// shard. When the cap covers all pairs (`stride == 1`, any small n) the
-/// sample IS the dense upper triangle and τ matches the dense path
-/// bit-for-bit.
+/// function of `(n, budget)`: the 2-means orders the values internally,
+/// so the same multiset yields the same τ bits at every thread count,
+/// SIMD tier, and shard. When the cap covers all pairs (`stride == 1`,
+/// any small n) the sample IS the dense upper triangle and τ matches the
+/// dense path bit-for-bit.
 pub fn sample_tau(
     cols: &NodeColumns,
     measure: CorrelationMeasure,
@@ -371,8 +368,9 @@ pub fn fold_candidates(
                 }
             }
         },
+        |_, _, _| {},
     );
-    let tiles = pass.num_tiles();
+    let tiles = pass.tiles;
     let mut acc = SparseCandidates::new(shard, max_candidates);
     let mut pairs_above_tau = 0;
     for (partial, above) in pass.pool.states {
@@ -390,6 +388,35 @@ pub fn fold_candidates(
     }
 }
 
+/// Candidate lists from a dense correlation matrix: one pass over its
+/// triangle folds every above-τ pair into a full-shard
+/// [`SparseCandidates`], the accumulator [`fold_candidates`] uses, so the
+/// dense and streamed paths select candidates one way — and both equal
+/// [`crate::search::candidate_parents`] for every node. Returns the
+/// per-node lists and the number of pairs above τ.
+pub(crate) fn fold_dense(
+    corr: &CorrelationMatrix,
+    tau: f64,
+    max_candidates: usize,
+) -> (Vec<Vec<NodeId>>, u64) {
+    let n = corr.num_nodes();
+    let mut acc = SparseCandidates::new(Shard::full(n), max_candidates);
+    let mut above = 0u64;
+    let mut rest = corr.upper_triangle();
+    for i in 0..n {
+        let (row, tail) = rest.split_at(n - i - 1);
+        rest = tail;
+        for (j, &v) in (i + 1..n).zip(row) {
+            if v > tau {
+                acc.insert(i as NodeId, v, j as NodeId);
+                acc.insert(j as NodeId, v, i as NodeId);
+                above += 1;
+            }
+        }
+    }
+    (acc.finish().0, above)
+}
+
 /// Estimated peak heap bytes of a streamed reconstruction, for budget
 /// validation at the CLI/daemon boundary (the library itself never
 /// rejects a budget — it just sizes the τ sample with it).
@@ -398,8 +425,9 @@ pub fn fold_candidates(
 /// (`n · ⌈β/64⌉ · 8`), the per-worker sparse accumulators
 /// (`threads · shard_len · (2·max_candidates + 16) · 16` bytes of
 /// `(f64, NodeId)` entries plus one counter per node), the τ sample
-/// buffer (`cap · 8`, doubled for the 2-means sort copy), and per-worker
-/// tile scratch. Deliberately a loose over-estimate — sized so staying
+/// buffer (`cap · 8`, doubled for the 2-means' sorted tail and its
+/// suffix sums — the values above its bound, all of them only in its
+/// guarded full-sort fallback), and per-worker tile scratch. Deliberately a loose over-estimate — sized so staying
 /// under it keeps actual peak RSS under the budget with room for the
 /// allocator.
 pub fn estimate_streamed_bytes(
@@ -423,6 +451,76 @@ pub fn estimate_streamed_bytes(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::search::candidate_parents;
+    use diffnet_simulate::StatusMatrix;
+    use proptest::prelude::*;
+
+    /// A seeded status matrix whose nodes copy a few "source" nodes with
+    /// noise (so IMI values spread over both clusters), plus a
+    /// never-infected and an always-infected column.
+    fn correlated_columns(n: usize, beta: usize, seed: u64) -> NodeColumns {
+        let mut state = seed | 1;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let rows: Vec<Vec<bool>> = (0..beta)
+            .map(|_| {
+                let mut row = vec![false; n];
+                for v in 0..n {
+                    row[v] = match v {
+                        0 => false,
+                        1 => true,
+                        _ if v % 3 == 0 => next() % 2 == 0,
+                        _ => {
+                            let r = next();
+                            if r % 5 == 0 {
+                                r % 2 == 0
+                            } else {
+                                row[v - 1]
+                            }
+                        }
+                    };
+                }
+                row
+            })
+            .collect();
+        StatusMatrix::from_rows(&rows).columns()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn dense_fold_matches_candidate_parents(
+            n in 2usize..48,
+            beta in 1usize..130,
+            seed in any::<u64>(),
+            cap in 0usize..4,
+            threshold in 0usize..4,
+        ) {
+            let cols = correlated_columns(n, beta, seed);
+            let corr = CorrelationMatrix::compute(&cols, CorrelationMeasure::Imi);
+            let tri = corr.upper_triangle();
+            let max = tri.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+            let tau = match threshold {
+                0 => crate::kmeans::pinned_two_means(tri).tau,
+                1 => -0.25,
+                2 => max + 1.0,
+                _ => 0.0,
+            };
+            let max_candidates = [0, 1, 3, n + 5][cap];
+            let (lists, above) = fold_dense(&corr, tau, max_candidates);
+            prop_assert_eq!(lists.len(), n);
+            for (i, list) in lists.iter().enumerate() {
+                let want = candidate_parents(&corr, i as NodeId, tau, max_candidates);
+                prop_assert_eq!(list, &want, "node {} at τ = {}, cap {}", i, tau, max_candidates);
+            }
+            prop_assert_eq!(above, tri.iter().filter(|&&v| v > tau).count() as u64);
+        }
+    }
 
     #[test]
     fn plan_shards_covers_range_without_overlap() {

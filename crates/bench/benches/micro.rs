@@ -6,10 +6,12 @@ use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criteri
 use diffnet_baselines::{Lift, MulTree, NetRate, NetRateConfig};
 use diffnet_datasets::lfr_suite;
 use diffnet_graph::DiGraph;
-use diffnet_simulate::{CountsWorkspace, EdgeProbs, IcConfig, IndependentCascade, ObservationSet};
-use diffnet_tends::search::{candidate_parents, find_parents_reference, find_parents_with};
+use diffnet_simulate::{EdgeProbs, IcConfig, IndependentCascade, ObservationSet};
+use diffnet_tends::score::ScoreCache;
+use diffnet_tends::search::{candidate_parents, find_parents_from};
 use diffnet_tends::{
-    pinned_two_means, CorrelationMatrix, CorrelationMeasure, SearchParams, SearchScratch, Tends,
+    pinned_two_means, CorrelationMatrix, CorrelationMeasure, JointTable, Lattice, SearchParams,
+    Tends,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -76,25 +78,14 @@ fn bench_counting_kernels(c: &mut Criterion) {
             &parents,
             |b, parents| b.iter(|| black_box(obs.statuses.combo_counts(0, parents))),
         );
-        // Incremental path: the base partition is cached once and only the
-        // last parent is refined per query, as in one greedy round.
-        let (base, extra) = parents.split_at(f.saturating_sub(1));
-        let mut ws = CountsWorkspace::new();
-        ws.set_base(&cols, base).expect("small base");
-        group.bench_with_input(
-            BenchmarkId::new("combo_counts_workspace", f),
-            &extra.to_vec(),
-            |b, extra| {
-                b.iter(|| black_box(ws.refined_counts(&cols, 0, extra).expect("small combo")[0]))
-            },
-        );
     }
     group.finish();
 }
 
 fn bench_greedy_search(c: &mut Criterion) {
-    // The full per-node parent search (candidate pruning already done),
-    // workspace path vs the from-scratch reference path.
+    // The full per-node parent search (candidate pruning already done):
+    // the driver over each node's joint-table lattice (table build
+    // included) vs over the columns.
     let (_, obs) = workload(2);
     let cols = obs.statuses.columns();
     let corr = CorrelationMatrix::compute(&cols, CorrelationMeasure::Imi);
@@ -105,11 +96,12 @@ fn bench_greedy_search(c: &mut Criterion) {
         .collect();
     let mut group = c.benchmark_group("greedy_n200");
     group.sample_size(10);
-    group.bench_function("find_parents_reference", |b| {
+    let mut cache = ScoreCache::new();
+    group.bench_function("find_parents_columns", |b| {
         b.iter(|| {
             let mut acc = 0usize;
             for (i, cands) in candidates.iter().enumerate() {
-                acc += find_parents_reference(&cols, i as u32, cands, &params)
+                acc += find_parents_from(&cols, &mut cache, i as u32, cands, &params)
                     .expect("default search fits")
                     .stats
                     .evaluations;
@@ -117,12 +109,14 @@ fn bench_greedy_search(c: &mut Criterion) {
             black_box(acc)
         })
     });
-    group.bench_function("find_parents_workspace", |b| {
+    let mut lattice = Lattice::default();
+    group.bench_function("find_parents_lattice", |b| {
         b.iter(|| {
-            let mut scratch = SearchScratch::new();
             let mut acc = 0usize;
             for (i, cands) in candidates.iter().enumerate() {
-                acc += find_parents_with(&mut scratch, &cols, i as u32, cands, &params)
+                let table = JointTable::from_cols(&cols, i as u32, cands).expect("tabulable");
+                lattice.fill(&table);
+                acc += find_parents_from(&lattice, &mut cache, i as u32, cands, &params)
                     .expect("default search fits")
                     .stats
                     .evaluations;

@@ -13,11 +13,11 @@
 //!   Detected CPU features are recorded in the header;
 //! * the IMI correlation matrix, single-threaded vs 8 workers;
 //! * one full TENDS reconstruction, 1 vs 8 threads;
-//! * the `N_ijk` counting kernel: the recursive bitset kernel vs the
-//!   incremental [`CountsWorkspace`] refinement;
-//! * the full greedy parent search: cached workspace path vs the
-//!   from-scratch reference path, both single-threaded, with the score
-//!   cache's hit/miss counts;
+//! * the parent search (`parent_search`): the one driver over each
+//!   node's joint-table [`Lattice`] (table build included) vs over the
+//!   [`NodeColumns`], single-threaded over every node at n=300 and n=3000
+//!   with β=500 and at n=1000 with β=20,000, as min/median/max seconds
+//!   with the score cache's hit/miss counts;
 //! * one instrumented reconstruction (`tends_run_report`): per-phase wall
 //!   times and the full observability counter set for the small workload;
 //! * checkpoint overhead: the robust reconstruction with per-node
@@ -48,11 +48,12 @@ use diffnet_bench::harness::{observe, Setting};
 use diffnet_datasets::LfrSpec;
 use diffnet_metrics::timed;
 use diffnet_observe::{DurationHistogram, Json, Recorder, RunReport};
-use diffnet_simulate::{CountsWorkspace, Kernels, NodeColumns, SimdMode, StatusMatrix};
-use diffnet_tends::search::{find_parents_reference, SearchParams};
+use diffnet_simulate::{Kernels, NodeColumns, SimdMode, StatusMatrix};
+use diffnet_tends::score::ScoreCache;
+use diffnet_tends::search::{candidate_parents, find_parents_from, SearchParams};
 use diffnet_tends::{
-    CorrelationMatrix, CorrelationMeasure, RobustOptions, ScoreCacheStats, SearchScratch, Tends,
-    TendsConfig,
+    CorrelationMatrix, CorrelationMeasure, JointTable, Lattice, RobustOptions, ScoreCacheStats,
+    Tends, TendsConfig,
 };
 
 /// Median wall-clock seconds of `reps` runs of `f`.
@@ -121,50 +122,6 @@ fn synthetic_statuses(beta: usize, n: usize, seed: u64) -> StatusMatrix {
         }
     }
     m
-}
-
-struct KernelRow {
-    n: usize,
-    recursive_s: f64,
-    workspace_s: f64,
-}
-
-/// Times the two counting kernels over every node as child, with a cached
-/// 3-parent base and a 2-node extension — the shape of one greedy round.
-fn kernel_row(n: usize, cols: &NodeColumns, reps: usize) -> KernelRow {
-    let base: Vec<u32> = [0u32, 2, 4]
-        .into_iter()
-        .filter(|&p| (p as usize) < n)
-        .collect();
-    let extra: Vec<u32> = [1u32, 3]
-        .into_iter()
-        .filter(|&p| (p as usize) < n)
-        .collect();
-    let mut union: Vec<u32> = base.iter().chain(&extra).copied().collect();
-    union.sort_unstable();
-
-    let children: Vec<u32> = (5..n as u32).collect();
-    let recursive_s = median_secs(reps, || {
-        let mut acc = 0u64;
-        for &child in &children {
-            acc += cols.combo_counts(child, &union).expect("small combo")[0][0];
-        }
-        acc
-    });
-    let mut ws = CountsWorkspace::new();
-    ws.set_base(cols, &base).expect("small base");
-    let workspace_s = median_secs(reps, || {
-        let mut acc = 0u64;
-        for &child in &children {
-            acc += ws.refined_counts(cols, child, &extra).expect("small combo")[0][0];
-        }
-        acc
-    });
-    KernelRow {
-        n,
-        recursive_s,
-        workspace_s,
-    }
 }
 
 /// Sum of `n11` over the whole pair triangle through the per-pair walk.
@@ -287,6 +244,66 @@ fn dense_stage_row(n: usize, beta: usize, reps: usize) -> Json {
     row
 }
 
+/// The parent-search driver, single-threaded over every node of an
+/// `n × β` workload with its IMI candidates: once over each node's
+/// joint-table [`Lattice`] (what the pipeline runs, table build included)
+/// and once over the columns (the source above the table limit). Both
+/// sides must agree on every result before their `{min, median, max}`
+/// seconds are reported; the summed score-cache counters do not depend
+/// on the source.
+fn parent_search_row(n: usize, beta: usize, reps: usize) -> Json {
+    let statuses = status_workload(n, beta, 15);
+    let cols = statuses.columns();
+    let corr = CorrelationMatrix::compute(&cols, CorrelationMeasure::Imi);
+    let tau = diffnet_tends::pinned_two_means(corr.upper_triangle()).tau;
+    let params = SearchParams::default();
+    let candidates: Vec<Vec<u32>> = (0..n as u32)
+        .map(|i| candidate_parents(&corr, i, tau, params.max_candidates))
+        .collect();
+    drop(corr);
+    let mut lattice = Lattice::default();
+    let mut cache = ScoreCache::new();
+    let mut search_all = |over_lattice: bool| {
+        let mut outcome = Vec::with_capacity(n);
+        let mut totals = ScoreCacheStats::default();
+        for (i, cands) in candidates.iter().enumerate() {
+            let child = i as u32;
+            let res = if over_lattice {
+                lattice.fill(&JointTable::from_cols(&cols, child, cands).expect("tabulable"));
+                find_parents_from(&lattice, &mut cache, child, cands, &params)
+            } else {
+                find_parents_from(&cols, &mut cache, child, cands, &params)
+            }
+            .expect("default search fits");
+            totals.merge(&res.cache_stats);
+            outcome.push((res.parents, res.score.to_bits(), res.stats));
+        }
+        (outcome, totals)
+    };
+    let (mut lattice_s, mut columns_s) = (Vec::new(), Vec::new());
+    let mut totals = ScoreCacheStats::default();
+    for _ in 0..reps {
+        let (on_lattice, secs) = timed(|| search_all(true));
+        lattice_s.push(secs);
+        let (on_columns, secs) = timed(|| search_all(false));
+        columns_s.push(secs);
+        assert!(
+            on_lattice == on_columns,
+            "sources must agree before being timed"
+        );
+        totals = on_lattice.1;
+    }
+    let mut row = Json::object();
+    row.push("n", n as u64);
+    row.push("beta", beta as u64);
+    row.push("reps", reps as u64);
+    row.push("lattice_s", spread(lattice_s));
+    row.push("columns_s", spread(columns_s));
+    row.push("score_cache_hits", totals.hits);
+    row.push("score_cache_misses", totals.misses);
+    row
+}
+
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick")
         || std::env::var("DIFFNET_QUICK").is_ok_and(|v| v == "1");
@@ -309,7 +326,6 @@ fn main() {
     let small = status_workload(n_small, beta, 11);
     let large = status_workload(n_large, beta, 12);
     let deep = status_workload(n_deep, beta_deep, 13);
-    let small_cols = small.columns();
     let large_cols = large.columns();
     let deep_cols = deep.columns();
 
@@ -385,52 +401,19 @@ fn main() {
         })
     });
 
-    // Counting kernel at both sizes.
-    eprintln!("perf_report: counting kernels");
-    let kernels = [
-        kernel_row(n_small, &small_cols, reps),
-        kernel_row(n_large, &large_cols, reps),
-    ];
-
-    // Full greedy parent search (cached workspace vs reference),
-    // single-threaded, over every node of the small workload with its IMI
-    // candidates.
-    eprintln!("perf_report: greedy search (n={n_small})");
-    let corr = CorrelationMatrix::compute(&small_cols, CorrelationMeasure::Imi);
-    let tau = diffnet_tends::pinned_two_means(corr.upper_triangle()).tau;
-    let params = SearchParams::default();
-    let candidates: Vec<Vec<u32>> = (0..n_small as u32)
-        .map(|i| diffnet_tends::search::candidate_parents(&corr, i, tau, params.max_candidates))
+    // The parent-search driver over its two count sources.
+    let search_shapes: [(usize, usize); 3] = if quick {
+        [(100, 500), (300, 500), (200, 2000)]
+    } else {
+        [(300, 500), (3000, 500), (1000, 20_000)]
+    };
+    let parent_search: Vec<Json> = search_shapes
+        .iter()
+        .map(|&(n, beta)| {
+            eprintln!("perf_report: parent search (n={n}, beta={beta})");
+            parent_search_row(n, beta, reps)
+        })
         .collect();
-    let greedy_ref = median_secs(reps.min(3), || {
-        let mut acc = 0usize;
-        for (i, cands) in candidates.iter().enumerate() {
-            acc += find_parents_reference(&small_cols, i as u32, cands, &params)
-                .expect("default search fits")
-                .stats
-                .evaluations;
-        }
-        acc
-    });
-    let mut cache_totals = ScoreCacheStats::default();
-    let greedy_ws = median_secs(reps.min(3), || {
-        let mut scratch = SearchScratch::new();
-        let mut acc = 0usize;
-        cache_totals = ScoreCacheStats::default();
-        for (i, cands) in candidates.iter().enumerate() {
-            let res = diffnet_tends::search::find_parents_with(
-                &mut scratch,
-                &small_cols,
-                i as u32,
-                cands,
-                &params,
-            )
-            .expect("default search fits");
-            cache_totals.merge(&res.cache_stats);
-            acc += res.stats.evaluations;
-        }
-        acc
-    });
 
     // Checkpoint overhead: the same robust reconstruction with per-node
     // progress persisted atomically at the default interval vs without.
@@ -715,27 +698,7 @@ fn main() {
     json.push("dense_stage", dense_stage);
     json.push("reconstruction", scaling_row(n_small, rec_1, rec_8));
 
-    let rows: Vec<Json> = kernels
-        .iter()
-        .map(|k| {
-            let mut row = Json::object();
-            row.push("n", k.n as u64);
-            row.push("recursive_s", k.recursive_s);
-            row.push("workspace_s", k.workspace_s);
-            row.push("speedup", k.recursive_s / k.workspace_s);
-            row
-        })
-        .collect();
-    json.push("counting_kernel", rows);
-
-    let mut greedy = Json::object();
-    greedy.push("n", n_small as u64);
-    greedy.push("reference_s", greedy_ref);
-    greedy.push("cached_workspace_s", greedy_ws);
-    greedy.push("speedup", greedy_ref / greedy_ws);
-    greedy.push("score_cache_hits", cache_totals.hits);
-    greedy.push("score_cache_misses", cache_totals.misses);
-    json.push("greedy_search", greedy);
+    json.push("parent_search", Json::Arr(parent_search));
 
     let mut ck = Json::object();
     ck.push("n", n_small as u64);

@@ -23,6 +23,13 @@ pub enum EdgeListError {
         /// The offending content.
         content: String,
     },
+    /// An endpoint too large for a [`NodeId`], whatever the node count.
+    IdTooLarge {
+        /// 1-based line number.
+        line: usize,
+        /// The offending node id.
+        node: u64,
+    },
     /// An endpoint not in `0..n` for the declared node count.
     OutOfRange {
         /// 1-based line number.
@@ -51,6 +58,11 @@ impl fmt::Display for EdgeListError {
             EdgeListError::Parse { line, content } => {
                 write!(f, "edge list parse error at line {line}: {content:?}")
             }
+            EdgeListError::IdTooLarge { line, node } => write!(
+                f,
+                "edge list node {node} at line {line} does not fit a {}-bit node id",
+                NodeId::BITS
+            ),
             EdgeListError::OutOfRange { line, node, n } => write!(
                 f,
                 "edge list node {node} at line {line} out of range for n = {n}"
@@ -120,6 +132,11 @@ pub fn read_edge_list<R: Read>(reader: R, n: Option<usize>) -> Result<DiGraph, E
         let parse = |tok: Option<&str>| -> Option<u64> { tok?.parse().ok() };
         match (parse(parts.next()), parse(parts.next())) {
             (Some(u), Some(v)) => {
+                // Checked here, so neither `max_id + 1` nor the `NodeId`
+                // casts below can overflow or truncate.
+                if let Some(node) = [u, v].into_iter().find(|&x| NodeId::try_from(x).is_err()) {
+                    return Err(EdgeListError::IdTooLarge { line: lineno, node });
+                }
                 max_id = max_id.max(u).max(v);
                 edges.push((u, v));
             }
@@ -337,6 +354,23 @@ mod tests {
                 assert_eq!(n, 5);
             }
             other => panic!("expected out-of-range error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn ids_beyond_node_id_are_typed_errors() {
+        // u64::MAX used to overflow `max_id + 1`; 2^32 used to pass the
+        // range check and truncate to node 0.
+        for (text, node) in [
+            ("0 1\n2 18446744073709551615\n", u64::MAX),
+            ("# c\n4294967296 1\n", 1 << 32),
+        ] {
+            for n in [None, Some(usize::MAX)] {
+                match read_edge_list(text.as_bytes(), n) {
+                    Err(EdgeListError::IdTooLarge { line: 2, node: got }) => assert_eq!(got, node),
+                    other => panic!("{text:?} with n = {n:?}: {other:?}"),
+                }
+            }
         }
     }
 

@@ -150,3 +150,41 @@ proptest! {
         );
     }
 }
+
+/// One piece of a hostile edge list: raw bytes, an id below 2^20, an id
+/// above `u32::MAX`, a separator, or an `# edges:` header. Ids between
+/// 2^20 and `u32::MAX` are left out: they are valid, and a graph that
+/// large is a memory test, not a parser test.
+fn edge_list_piece() -> impl Strategy<Value = Vec<u8>> {
+    (
+        0u8..6,
+        proptest::collection::vec(any::<u8>(), 0..6),
+        0u64..1 << 20,
+        u64::from(u32::MAX) + 1..u64::MAX,
+    )
+        .prop_map(|(kind, raw, small, huge)| match kind {
+            0 => raw,
+            1 | 2 => small.to_string().into_bytes(),
+            3 => huge.to_string().into_bytes(),
+            4 => [b" ", b",", b"\n", b"#"][raw.len() % 4].to_vec(),
+            _ => format!("# edges: {small}\n").into_bytes(),
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    // Arbitrary bytes never panic the edge-list reader: the answer is a
+    // graph or a typed error.
+    #[test]
+    fn edge_list_reader_never_panics(
+        pieces in proptest::collection::vec(edge_list_piece(), 0..40),
+    ) {
+        let bytes = pieces.concat();
+        for n in [None, Some(1usize << 10)] {
+            if let Ok(g) = diffnet_graph::io::read_edge_list(bytes.as_slice(), n) {
+                prop_assert!(g.edges().all(|(u, v)| (u.max(v) as usize) < g.node_count()));
+            }
+        }
+    }
+}

@@ -266,11 +266,6 @@ const METRIC_HELP: &[(&str, &str)] = &[
         "worker_chunks",
         "Chunk claims per worker per parallel region.",
     ),
-    ("workspace_rebases", "Counting-workspace rebase operations."),
-    (
-        "workspace_refinements",
-        "Counting-workspace incremental refinements.",
-    ),
 ];
 
 /// The `# HELP` text for a recorder metric name: the registry entry when

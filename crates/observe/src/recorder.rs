@@ -10,8 +10,8 @@
 //! (< 2% regression) requires.
 //!
 //! Aggregation happens at *phase boundaries*: hot loops accumulate plain
-//! integers in their own structs (`SearchStats`, `CountsWorkspace`
-//! counters, `PoolStats`) and the pipeline ingests those aggregates into
+//! integers in their own structs (`SearchStats`, `ScoreCacheStats`,
+//! `PoolStats`) and the pipeline ingests those aggregates into
 //! the recorder once per phase. The recorder is never touched per
 //! combination or per row.
 

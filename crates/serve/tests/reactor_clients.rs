@@ -400,10 +400,12 @@ fn submit(client: &Client, body: &[u8]) -> u64 {
     submitted.get("id").and_then(Json::as_f64).expect("id") as u64
 }
 
-/// A job that runs for seconds, far longer than any test below holds it:
-/// tests park on it while it is still running, and shutdown interrupts it.
+/// A job that runs for seconds in a debug build, far longer than any test
+/// below holds it: tests park on it while it is still running, and
+/// shutdown interrupts it. (About 1.4 s on a 2-CPU host; an optimized
+/// build finishes it sooner, which these tests do not yet allow for.)
 fn long_job_body() -> Vec<u8> {
-    sample_statuses_body(2000, 200)
+    sample_statuses_body(4000, 400)
 }
 
 fn state_of(doc: &Json) -> &str {

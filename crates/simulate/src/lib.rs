@@ -54,7 +54,4 @@ pub use mmap::{open_bytes, FileBytes};
 pub use noise::{delay_timestamps, flip_statuses};
 pub use probs::{sample_normal, EdgeProbs, ProbShapeError};
 pub use simd::{parse_simd, simd_from_env, Kernels, SimdMode};
-pub use status::{
-    ComboSizeError, CountsWorkspace, NodeColumns, PairCounts, StatusMatrix, WorkspaceStats,
-    MAX_TABULATED_PARENTS,
-};
+pub use status::{ComboSizeError, NodeColumns, PairCounts, StatusMatrix, MAX_TABULATED_PARENTS};

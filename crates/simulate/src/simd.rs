@@ -128,14 +128,9 @@ pub struct Kernels {
     dispatch: &'static str,
     and_popcount: fn(&[u64], &[u64]) -> u64,
     and_self_popcount: fn(&[u64], &[u64]) -> (u64, u64),
-    and3_popcount: And3Fn,
     popcount: fn(&[u64]) -> u64,
     refine_masks: fn(&mut [u64], &mut [u64], &[u64]),
 }
-
-/// Signature of the fused three-operand kernel:
-/// `(popcount(m & w), popcount(m & w & c))`.
-type And3Fn = fn(&[u64], &[u64], &[u64]) -> (u64, u64);
 
 impl Kernels {
     /// Builds the kernel table for `mode` without touching the
@@ -204,14 +199,6 @@ impl Kernels {
     #[inline]
     pub fn and_self_popcount(&self, mask: &[u64], child: &[u64]) -> (u64, u64) {
         (self.and_self_popcount)(mask, child)
-    }
-
-    /// `(popcount(m & w), popcount(m & w & c))` in one pass — the batched
-    /// single-extension scoring primitive: how much of mask `m` lands in
-    /// parent column `w`, and how much of that is also in child `c`.
-    #[inline]
-    pub fn and3_popcount(&self, m: &[u64], w: &[u64], c: &[u64]) -> (u64, u64) {
-        (self.and3_popcount)(m, w, c)
     }
 
     /// `popcount(a)`.
@@ -305,7 +292,6 @@ const SCALAR: Kernels = Kernels {
     dispatch: "scalar",
     and_popcount: scalar_and_popcount,
     and_self_popcount: scalar_and_self_popcount,
-    and3_popcount: scalar_and3_popcount,
     popcount: scalar_popcount,
     refine_masks: scalar_refine_masks,
 };
@@ -419,29 +405,6 @@ fn scalar_and_self_popcount(mask: &[u64], child: &[u64]) -> (u64, u64) {
     )
 }
 
-fn scalar_and3_popcount(m: &[u64], w: &[u64], c: &[u64]) -> (u64, u64) {
-    let n = m.len().min(w.len()).min(c.len());
-    let (m, w, c) = (&m[..n], &w[..n], &c[..n]);
-    (
-        harley_seal(
-            n,
-            |i| {
-                let (cm, cw) = (block16(m, i), block16(w, i));
-                std::array::from_fn(|k| cm[k] & cw[k])
-            },
-            |i| m[i] & w[i],
-        ),
-        harley_seal(
-            n,
-            |i| {
-                let (cm, cw, cc) = (block16(m, i), block16(w, i), block16(c, i));
-                std::array::from_fn(|k| cm[k] & cw[k] & cc[k])
-            },
-            |i| m[i] & w[i] & c[i],
-        ),
-    )
-}
-
 fn scalar_refine_masks(lo: &mut [u64], hi: &mut [u64], p: &[u64]) {
     let n = lo.len().min(hi.len()).min(p.len());
     for k in 0..n {
@@ -464,7 +427,6 @@ mod x86 {
         dispatch: "popcnt",
         and_popcount: popcnt_and_popcount_safe,
         and_self_popcount: popcnt_and_self_popcount_safe,
-        and3_popcount: popcnt_and3_popcount_safe,
         popcount: popcnt_popcount_safe,
         // Mask refinement is pure AND/ANDN — no popcount to accelerate.
         refine_masks: super::scalar_refine_masks,
@@ -474,7 +436,6 @@ mod x86 {
         dispatch: "avx2",
         and_popcount: avx2_and_popcount_safe,
         and_self_popcount: avx2_and_self_popcount_safe,
-        and3_popcount: avx2_and3_popcount_safe,
         popcount: avx2_popcount_safe,
         refine_masks: avx2_refine_masks_safe,
     };
@@ -497,11 +458,6 @@ mod x86 {
         unsafe { popcnt_and_self_popcount(mask, child) }
     }
 
-    fn popcnt_and3_popcount_safe(m: &[u64], w: &[u64], c: &[u64]) -> (u64, u64) {
-        // SAFETY: only installed after runtime POPCNT detection.
-        unsafe { popcnt_and3_popcount(m, w, c) }
-    }
-
     fn popcnt_popcount_safe(a: &[u64]) -> u64 {
         // SAFETY: only installed after runtime POPCNT detection.
         unsafe { popcnt_popcount(a) }
@@ -515,11 +471,6 @@ mod x86 {
     fn avx2_and_self_popcount_safe(mask: &[u64], child: &[u64]) -> (u64, u64) {
         // SAFETY: only installed after runtime AVX2+POPCNT detection.
         unsafe { avx2_and_self_popcount(mask, child) }
-    }
-
-    fn avx2_and3_popcount_safe(m: &[u64], w: &[u64], c: &[u64]) -> (u64, u64) {
-        // SAFETY: only installed after runtime AVX2+POPCNT detection.
-        unsafe { avx2_and3_popcount(m, w, c) }
     }
 
     fn avx2_popcount_safe(a: &[u64]) -> u64 {
@@ -575,29 +526,6 @@ mod x86 {
             tot0 += mask[i].count_ones() as u64;
         }
         (and0 + and1, tot0 + tot1)
-    }
-
-    #[target_feature(enable = "popcnt")]
-    fn popcnt_and3_popcount(m: &[u64], w: &[u64], c: &[u64]) -> (u64, u64) {
-        let n = m.len().min(w.len()).min(c.len());
-        let (m, w, c) = (&m[..n], &w[..n], &c[..n]);
-        let (mut mw0, mut mw1, mut mwc0, mut mwc1) = (0u64, 0u64, 0u64, 0u64);
-        let mut i = 0usize;
-        while i + 2 <= n {
-            let x0 = m[i] & w[i];
-            let x1 = m[i + 1] & w[i + 1];
-            mw0 += x0.count_ones() as u64;
-            mwc0 += (x0 & c[i]).count_ones() as u64;
-            mw1 += x1.count_ones() as u64;
-            mwc1 += (x1 & c[i + 1]).count_ones() as u64;
-            i += 2;
-        }
-        if i < n {
-            let x = m[i] & w[i];
-            mw0 += x.count_ones() as u64;
-            mwc0 += (x & c[i]).count_ones() as u64;
-        }
-        (mw0 + mw1, mwc0 + mwc1)
     }
 
     #[target_feature(enable = "popcnt")]
@@ -695,29 +623,6 @@ mod x86 {
             i += 1;
         }
         (and_total, total)
-    }
-
-    #[target_feature(enable = "avx2", enable = "popcnt")]
-    fn avx2_and3_popcount(m: &[u64], w: &[u64], c: &[u64]) -> (u64, u64) {
-        let n = m.len().min(w.len()).min(c.len());
-        let mut acc_mw = _mm256_setzero_si256();
-        let mut acc_mwc = _mm256_setzero_si256();
-        let mut i = 0usize;
-        while i + 4 <= n {
-            let (mv, wv, cv) = (load4(m, i), load4(w, i), load4(c, i));
-            let mw = _mm256_and_si256(mv, wv);
-            acc_mw = _mm256_add_epi64(acc_mw, popcnt_epi64(mw));
-            acc_mwc = _mm256_add_epi64(acc_mwc, popcnt_epi64(_mm256_and_si256(mw, cv)));
-            i += 4;
-        }
-        let (mut mw_total, mut mwc_total) = (hsum_epi64(acc_mw), hsum_epi64(acc_mwc));
-        while i < n {
-            let x = m[i] & w[i];
-            mw_total += x.count_ones() as u64;
-            mwc_total += (x & c[i]).count_ones() as u64;
-            i += 1;
-        }
-        (mw_total, mwc_total)
     }
 
     #[target_feature(enable = "avx2", enable = "popcnt")]
@@ -842,34 +747,6 @@ mod tests {
             for k in tiers() {
                 assert_eq!(
                     k.and_self_popcount(&m, &c),
-                    expect,
-                    "{} len {len}",
-                    k.dispatch()
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn all_tiers_match_naive_and3_popcount() {
-        for &len in LENS {
-            let m = words(0xAAAA_1111, len);
-            let w = words(0xBBBB_2222, len);
-            let c = words(0xCCCC_3333, len);
-            let expect = (
-                m.iter()
-                    .zip(&w)
-                    .map(|(x, y)| (x & y).count_ones() as u64)
-                    .sum::<u64>(),
-                m.iter()
-                    .zip(&w)
-                    .zip(&c)
-                    .map(|((x, y), z)| (x & y & z).count_ones() as u64)
-                    .sum::<u64>(),
-            );
-            for k in tiers() {
-                assert_eq!(
-                    k.and3_popcount(&m, &w, &c),
                     expect,
                     "{} len {len}",
                     k.dispatch()

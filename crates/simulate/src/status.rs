@@ -598,311 +598,6 @@ fn transpose64(a: &mut [u64; WORD_BITS]) {
     }
 }
 
-/// Reusable scratch state for incremental `N_ijk` counting.
-///
-/// The greedy parent search evaluates `g(v_i, F ∪ W)` for one fixed base set
-/// `F` and many small extensions `W` per round. The recursive kernel
-/// ([`NodeColumns::combo_counts`]) rebuilds the whole partition tree — and
-/// allocates two mask vectors per tree node — on every call. This workspace
-/// instead *instantiates* `F`'s partition once per round ([`set_base`]) as a
-/// flat arena of `2^|F|` process-bitset masks, and each evaluation
-/// ([`refined_counts`]) only refines that cached partition along `W`'s
-/// nodes. All buffers are retained across calls, so steady-state evaluation
-/// performs no allocations.
-///
-/// Counts are **bit-identical** to `cols.combo_counts(child, &union)` where
-/// `union` is the sorted merge of the base and extension sets: entry `j` of
-/// the result indexes parent combinations by the sorted-union bit order
-/// (parent `t` of the union contributes bit `t`), exactly like the other
-/// two kernels. Identical table order means downstream floating-point score
-/// sums visit terms in the same order and reproduce the same bits.
-///
-/// [`set_base`]: CountsWorkspace::set_base
-/// [`refined_counts`]: CountsWorkspace::refined_counts
-#[derive(Clone, Debug, Default)]
-pub struct CountsWorkspace {
-    /// The cached base parent set `F` (sorted, deduplicated).
-    base_parents: Vec<NodeId>,
-    /// `2^|F|` masks of `words` words each; entry `j` holds the processes
-    /// whose `F`-statuses form combination `j` (base-order bits).
-    base: Vec<u64>,
-    /// Refinement arena: `2^(|F|+|W|)` masks during an evaluation.
-    scratch: Vec<u64>,
-    /// Output table, in sorted-union combination order.
-    counts: Vec<[u64; 2]>,
-    /// Per-base-entry `[infected, total]` counts shared across a batched
-    /// single-extension pass
-    /// ([`refined_counts_single_batch`](Self::refined_counts_single_batch)).
-    batch_counts: Vec<[u64; 2]>,
-    /// Bit position in the sorted union for each source bit (base bits
-    /// first, then extension bits).
-    bit_pos: Vec<u32>,
-    /// Words per process-bitset column; fixed by the `NodeColumns` that the
-    /// base was instantiated from.
-    words: usize,
-    /// Cumulative [`refined_counts`](Self::refined_counts) calls.
-    refine_calls: u64,
-    /// Cumulative [`set_base`](Self::set_base) calls (full recounts).
-    rebase_calls: u64,
-}
-
-/// Cumulative call counts of one [`CountsWorkspace`], distinguishing cheap
-/// incremental refinements from full base recounts — the ratio is the
-/// whole point of the incremental engine, so runs report both.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct WorkspaceStats {
-    /// [`CountsWorkspace::refined_counts`] calls (incremental refinements).
-    pub refinements: u64,
-    /// [`CountsWorkspace::set_base`] calls (full partition recounts).
-    pub rebases: u64,
-}
-
-impl CountsWorkspace {
-    /// An empty workspace; buffers grow on first use and are then reused.
-    pub fn new() -> Self {
-        CountsWorkspace::default()
-    }
-
-    /// Instantiates the partition of `parents` (the round's base set `F`)
-    /// over `cols`, replacing any previous base.
-    ///
-    /// `parents` must be sorted and duplicate-free — the invariant the
-    /// greedy search maintains for its accepted parent set.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ComboSizeError`] if `parents.len()` exceeds
-    /// [`MAX_TABULATED_PARENTS`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `parents` is unsorted or duplicated (a programmer-contract
-    /// violation, unlike the size limit which hostile inputs can reach).
-    pub fn set_base(
-        &mut self,
-        cols: &NodeColumns,
-        parents: &[NodeId],
-    ) -> Result<(), ComboSizeError> {
-        assert!(
-            parents.windows(2).all(|w| w[0] < w[1]),
-            "base parent set must be sorted and duplicate-free"
-        );
-        check_combo_size(parents.len())?;
-        self.rebase_calls += 1;
-        self.words = cols.words_per_col;
-        self.base_parents.clear();
-        self.base_parents.extend_from_slice(parents);
-        self.base.resize((1usize << parents.len()) * self.words, 0);
-        cols.root_mask_into(&mut self.base[..self.words]);
-        for (t, &p) in parents.iter().enumerate() {
-            Self::refine_level(&mut self.base, cols.col(p), 1usize << t, self.words);
-        }
-        Ok(())
-    }
-
-    /// The cached base parent set.
-    pub fn base_parents(&self) -> &[NodeId] {
-        &self.base_parents
-    }
-
-    /// Cumulative refine/rebase call counts since construction.
-    pub fn stats(&self) -> WorkspaceStats {
-        WorkspaceStats {
-            refinements: self.refine_calls,
-            rebases: self.rebase_calls,
-        }
-    }
-
-    /// Splits each of the first `len` masks in `arena` along parent column
-    /// `pcol`: the zero-half stays at entry `e`, the one-half lands at
-    /// `len + e`. Each word is read before either half is written, so the
-    /// doubling is safely in place.
-    fn refine_level(arena: &mut [u64], pcol: &[u64], len: usize, words: usize) {
-        debug_assert!(arena.len() >= 2 * len * words);
-        let k = crate::simd::kernels();
-        let (lo, hi) = arena.split_at_mut(len * words);
-        for e in 0..len {
-            let src = &mut lo[e * words..(e + 1) * words];
-            let dst = &mut hi[e * words..(e + 1) * words];
-            k.refine_masks(src, dst, pcol);
-        }
-    }
-
-    /// Counts `N_ijk` for `child` under the parent set `F ∪ extra`,
-    /// refining the cached base partition along `extra`'s nodes only.
-    ///
-    /// `extra` must be sorted, duplicate-free and disjoint from the base
-    /// set. The returned table is indexed by sorted-union combination
-    /// order and is bit-identical to
-    /// `cols.combo_counts(child, &sorted_union)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ComboSizeError`] if the union exceeds
-    /// [`MAX_TABULATED_PARENTS`] nodes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `extra` violates the ordering/disjointness contract or if
-    /// `cols` has a different process count than the base was instantiated
-    /// from.
-    pub fn refined_counts(
-        &mut self,
-        cols: &NodeColumns,
-        child: NodeId,
-        extra: &[NodeId],
-    ) -> Result<&[[u64; 2]], ComboSizeError> {
-        assert_eq!(
-            self.words, cols.words_per_col,
-            "workspace base was instantiated from a different matrix shape"
-        );
-        assert!(
-            extra.windows(2).all(|w| w[0] < w[1]),
-            "extension set must be sorted and duplicate-free"
-        );
-        assert!(
-            extra
-                .iter()
-                .all(|p| self.base_parents.binary_search(p).is_err()),
-            "extension set must be disjoint from the base parent set"
-        );
-        let f = self.base_parents.len();
-        let w = extra.len();
-        check_combo_size(f + w)?;
-        self.refine_calls += 1;
-
-        // Refine the cached base partition along the extension nodes.
-        self.scratch.resize((1usize << (f + w)) * self.words, 0);
-        self.scratch[..self.base.len()].copy_from_slice(&self.base);
-        for (t, &p) in extra.iter().enumerate() {
-            Self::refine_level(
-                &mut self.scratch,
-                cols.col(p),
-                1usize << (f + t),
-                self.words,
-            );
-        }
-
-        // Map each source bit (base order, then extension order) to its
-        // position in the sorted union. Both inputs are sorted and
-        // disjoint, so a linear merge assigns positions.
-        self.bit_pos.resize(f + w, 0);
-        let (mut bi, mut wi) = (0usize, 0usize);
-        for pos in 0..f + w {
-            let take_base = wi >= w || (bi < f && self.base_parents[bi] < extra[wi]);
-            if take_base {
-                self.bit_pos[bi] = pos as u32;
-                bi += 1;
-            } else {
-                self.bit_pos[f + wi] = pos as u32;
-                wi += 1;
-            }
-        }
-
-        // Tabulate. Entry `e` of the arena (extension bits above base bits)
-        // scatters to union index `j`; the map is a bit permutation, so
-        // every `j` is written exactly once.
-        self.counts.resize(1usize << (f + w), [0, 0]);
-        let k = crate::simd::kernels();
-        let ccol = cols.col(child);
-        for e in 0..1usize << (f + w) {
-            let mask = &self.scratch[e * self.words..(e + 1) * self.words];
-            let (infected, total) = k.and_self_popcount(mask, ccol);
-            let mut j = 0usize;
-            for (t, &pos) in self.bit_pos.iter().enumerate() {
-                j |= ((e >> t) & 1) << pos;
-            }
-            self.counts[j] = [total - infected, infected];
-        }
-        Ok(&self.counts)
-    }
-
-    /// Counts `N_ijk` for `child` under every single-node extension
-    /// `F ∪ {extras[t]}` in one streaming pass over the cached base
-    /// partition, without materializing any refined arena.
-    ///
-    /// For each base-partition entry the kernel computes the entry's
-    /// `(infected, total)` once, then for every candidate one fused
-    /// AND³+popcount pass yields the candidate-infected half; the
-    /// candidate-uninfected half follows by subtraction. The zero-copy
-    /// pass replaces `extras.len()` arena copy+refine+tabulate cycles, so
-    /// the base masks are read once per candidate *group* instead of once
-    /// per candidate evaluation step — and the per-extension tables are
-    /// bit-identical to [`refined_counts`](Self::refined_counts) with the
-    /// same single-node extension (each counts once toward the
-    /// [`refinements`](WorkspaceStats::refinements) stat, preserving the
-    /// sequential accounting).
-    ///
-    /// `sink` receives `(t, counts)` for each extension index `t` in
-    /// order; the table is indexed by sorted-union combination order,
-    /// exactly like `refined_counts(cols, child, &[extras[t]])`.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same contract as `refined_counts`: each extra
-    /// must be absent from the base set, `cols` must match the shape the
-    /// base was instantiated from, and the unions `F ∪ {p}` must fit
-    /// [`MAX_TABULATED_PARENTS`] (the greedy search caps parent sets far
-    /// below the limit, so unlike the fallible kernels this is a
-    /// programmer contract, not reachable from hostile input).
-    pub fn refined_counts_single_batch(
-        &mut self,
-        cols: &NodeColumns,
-        child: NodeId,
-        extras: &[NodeId],
-        mut sink: impl FnMut(usize, &[[u64; 2]]),
-    ) {
-        if extras.is_empty() {
-            return;
-        }
-        assert_eq!(
-            self.words, cols.words_per_col,
-            "workspace base was instantiated from a different matrix shape"
-        );
-        assert!(
-            extras
-                .iter()
-                .all(|p| self.base_parents.binary_search(p).is_err()),
-            "extension nodes must be disjoint from the base parent set"
-        );
-        let f = self.base_parents.len();
-        assert!(
-            f < MAX_TABULATED_PARENTS,
-            "single-node extensions of a {f}-parent base exceed the combination table limit"
-        );
-        self.refine_calls += extras.len() as u64;
-
-        let k = crate::simd::kernels();
-        let ccol = cols.col(child);
-        // Shared per-entry counts of the unrefined base partition.
-        self.batch_counts.resize(1usize << f, [0, 0]);
-        for e in 0..1usize << f {
-            let mask = &self.base[e * self.words..(e + 1) * self.words];
-            let (infected, total) = k.and_self_popcount(mask, ccol);
-            self.batch_counts[e] = [infected, total];
-        }
-        self.counts.resize(1usize << (f + 1), [0, 0]);
-        for (t, &p) in extras.iter().enumerate() {
-            // The new parent's bit position in the sorted union F ∪ {p}.
-            let pos = self.base_parents.partition_point(|&b| b < p);
-            let pcol = cols.col(p);
-            for e in 0..1usize << f {
-                let mask = &self.base[e * self.words..(e + 1) * self.words];
-                let [i_e, t_e] = self.batch_counts[e];
-                let (mw, mwc) = k.and3_popcount(mask, pcol, ccol);
-                // Splice the new parent's bit into the base combination
-                // index: bits below `pos` keep their place, bits at or
-                // above shift up by one.
-                let j0 = (e & ((1usize << pos) - 1)) | ((e >> pos) << (pos + 1));
-                let j1 = j0 | (1usize << pos);
-                self.counts[j1] = [mw - mwc, mwc];
-                self.counts[j0] = [(t_e - i_e) - (mw - mwc), i_e - mwc];
-            }
-            sink(t, &self.counts);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1128,185 +823,6 @@ mod tests {
         }
     }
 
-    fn random_matrix(beta: usize, n: usize, seed: u64) -> StatusMatrix {
-        let mut state = seed;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        let mut m = StatusMatrix::new(beta, n);
-        for l in 0..beta {
-            for i in 0..n {
-                if next() % 3 == 0 {
-                    m.set(l, i as NodeId);
-                }
-            }
-        }
-        m
-    }
-
-    #[test]
-    fn workspace_counts_match_recursive_kernel() {
-        // β = 100 crosses the word boundary; exercise base/extension splits
-        // whose sorted unions interleave both ways.
-        let m = random_matrix(100, 12, 0x9E3779B97F4A7C15);
-        let cols = m.columns();
-        let mut ws = CountsWorkspace::new();
-        let cases: &[(&[NodeId], &[NodeId])] = &[
-            (&[], &[]),
-            (&[], &[4]),
-            (&[2], &[]),
-            (&[2], &[0]),
-            (&[2], &[7]),
-            (&[1, 5], &[3, 9]),
-            (&[0, 4, 8], &[2, 6, 10]),
-            (&[3, 4, 5], &[0, 1, 2]),
-            (&[0, 1, 2], &[9, 10, 11]),
-        ];
-        for &(base, extra) in cases {
-            ws.set_base(&cols, base).expect("small base");
-            let mut union: Vec<NodeId> = base.iter().chain(extra).copied().collect();
-            union.sort_unstable();
-            let got = ws
-                .refined_counts(&cols, 11, extra)
-                .expect("small union")
-                .to_vec();
-            assert_eq!(
-                got,
-                cols.combo_counts(11, &union).expect("small"),
-                "base {base:?} extra {extra:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn workspace_reuse_across_rounds_and_shrinking_sets() {
-        // One workspace driven the way the greedy search drives it: bases
-        // that grow, then shrink, with varying extension widths in between.
-        let m = random_matrix(70, 10, 0xDEADBEEFCAFE1234);
-        let cols = m.columns();
-        let mut ws = CountsWorkspace::new();
-        let rounds: &[&[NodeId]] = &[&[], &[3], &[3, 6], &[1, 3, 6], &[6]];
-        for &base in rounds {
-            ws.set_base(&cols, base).expect("small base");
-            assert_eq!(ws.base_parents(), base);
-            for extra in [vec![], vec![0], vec![0, 9], vec![2, 4, 9]] {
-                if extra.iter().any(|p| base.contains(p)) {
-                    continue;
-                }
-                let mut union: Vec<NodeId> = base.iter().chain(&extra).copied().collect();
-                union.sort_unstable();
-                for child in [5u32, 8] {
-                    let got = ws
-                        .refined_counts(&cols, child, &extra)
-                        .expect("small union")
-                        .to_vec();
-                    assert_eq!(
-                        got,
-                        cols.combo_counts(child, &union).expect("small"),
-                        "base {base:?} extra {extra:?} child {child}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn batched_single_extensions_match_refined_counts() {
-        // The batched pass must reproduce `refined_counts` bit-for-bit for
-        // every candidate, with bases that interleave the candidates both
-        // ways, and charge one refinement per candidate.
-        let m = random_matrix(100, 12, 0x1357_9BDF_2468_ACE0);
-        let cols = m.columns();
-        let mut ws = CountsWorkspace::new();
-        let mut oracle = CountsWorkspace::new();
-        let cases: &[(&[NodeId], &[NodeId])] = &[
-            (&[], &[0]),
-            (&[], &[4, 7, 11]),
-            (&[5], &[0, 6, 9]),
-            (&[2, 8], &[0, 3, 5, 10, 11]),
-            (&[0, 1, 2], &[3, 7, 9]),
-            (&[4, 6, 10], &[0, 5, 11]),
-        ];
-        for &(base, extras) in cases {
-            ws.set_base(&cols, base).expect("small base");
-            oracle.set_base(&cols, base).expect("small base");
-            let before = ws.stats().refinements;
-            let mut seen = 0usize;
-            ws.refined_counts_single_batch(&cols, 11, extras, |t, counts| {
-                let expect = oracle
-                    .refined_counts(&cols, 11, &[extras[t]])
-                    .expect("small union");
-                assert_eq!(counts, expect, "base {base:?} extra {}", extras[t]);
-                seen += 1;
-            });
-            assert_eq!(seen, extras.len());
-            assert_eq!(ws.stats().refinements, before + extras.len() as u64);
-        }
-        // Empty batches do nothing and charge nothing.
-        let before = ws.stats().refinements;
-        ws.refined_counts_single_batch(&cols, 11, &[], |_, _| panic!("no extras"));
-        assert_eq!(ws.stats().refinements, before);
-    }
-
-    #[test]
-    #[should_panic(expected = "disjoint")]
-    fn batched_extensions_reject_base_overlap() {
-        let m = sample();
-        let cols = m.columns();
-        let mut ws = CountsWorkspace::new();
-        ws.set_base(&cols, &[1]).expect("small base");
-        ws.refined_counts_single_batch(&cols, 2, &[0, 1], |_, _| {});
-    }
-
-    #[test]
-    fn workspace_zero_beta() {
-        let m = StatusMatrix::new(0, 4);
-        let cols = m.columns();
-        let mut ws = CountsWorkspace::new();
-        ws.set_base(&cols, &[1]).expect("small base");
-        assert_eq!(
-            ws.refined_counts(&cols, 0, &[2]).expect("small union"),
-            &[[0, 0]; 4]
-        );
-    }
-
-    #[test]
-    fn workspace_stats_count_rebases_and_refinements() {
-        let m = sample();
-        let cols = m.columns();
-        let mut ws = CountsWorkspace::new();
-        assert_eq!(ws.stats(), WorkspaceStats::default());
-        ws.set_base(&cols, &[]).expect("empty base");
-        ws.refined_counts(&cols, 2, &[0]).expect("small");
-        ws.refined_counts(&cols, 2, &[1]).expect("small");
-        ws.set_base(&cols, &[0]).expect("small base");
-        ws.refined_counts(&cols, 2, &[1]).expect("small");
-        let stats = ws.stats();
-        assert_eq!(stats.rebases, 2);
-        assert_eq!(stats.refinements, 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "disjoint")]
-    fn workspace_rejects_overlapping_extension() {
-        let m = sample();
-        let cols = m.columns();
-        let mut ws = CountsWorkspace::new();
-        ws.set_base(&cols, &[1]).expect("small base");
-        let _ = ws.refined_counts(&cols, 2, &[1]);
-    }
-
-    #[test]
-    #[should_panic(expected = "sorted")]
-    fn workspace_rejects_unsorted_base() {
-        let m = sample();
-        let cols = m.columns();
-        let _ = CountsWorkspace::new().set_base(&cols, &[2, 1]);
-    }
-
     #[test]
     fn column_combo_counts_zero_beta() {
         let m = StatusMatrix::new(0, 4);
@@ -1326,17 +842,6 @@ mod tests {
         assert!(err.to_string().contains("too large"));
         let cols = m.columns();
         assert_eq!(cols.combo_counts(29, &parents).unwrap_err(), err);
-        let mut ws = CountsWorkspace::new();
-        assert_eq!(ws.set_base(&cols, &parents).unwrap_err(), err);
-        // A base/extension split whose union crosses the limit errors too,
-        // without counting the failed call as a refinement.
-        ws.set_base(&cols, &parents[..20]).expect("20 fits");
-        let rebases_before = ws.stats();
-        assert_eq!(
-            ws.refined_counts(&cols, 29, &parents[20..]).unwrap_err(),
-            err
-        );
-        assert_eq!(ws.stats().refinements, rebases_before.refinements);
     }
 
     #[test]

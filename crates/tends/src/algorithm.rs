@@ -5,15 +5,15 @@ use crate::checkpoint::{self, Checkpoint, CheckpointEntry, CheckpointError};
 use crate::imi::{CorrelationMatrix, CorrelationMeasure, PairStats};
 use crate::kmeans::{pinned_two_means, PinnedKmeans};
 use crate::parallel;
-use crate::score::ScoreCacheStats;
+use crate::score::{ScoreCache, ScoreCacheStats};
 use crate::search::{
-    find_parents_reference, find_parents_with, JointTable, NodeSearchResult, SearchError,
-    SearchParams, SearchScratch, SearchStats,
+    find_parents_from, find_parents_tabulated, JointTable, Lattice, NodeSearchResult, SearchError,
+    SearchParams, SearchStats,
 };
 use crate::stream::{self, Shard};
 use diffnet_graph::{DiGraph, GraphBuilder, NodeId};
 use diffnet_observe::{FaultPlan, Recorder, SpanId};
-use diffnet_simulate::{NodeColumns, StatusMatrix, WorkspaceStats};
+use diffnet_simulate::{NodeColumns, StatusMatrix};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::io::Write;
@@ -313,7 +313,7 @@ impl Tends {
     /// [`reconstruct`](Self::reconstruct) with instrumentation: each
     /// pipeline phase is timed on `rec`, and the load-bearing internals
     /// (pairs above `τ`, candidate-set sizes, Theorem-2 rejections,
-    /// combinations scored, workspace refinements, pool utilization) are
+    /// combinations scored, score-cache hits, pool utilization) are
     /// ingested at phase boundaries — the hot loops only bump plain
     /// integers. Passing [`Recorder::disabled`] makes every recorder call
     /// a branch on a constant, so `reconstruct` simply delegates here.
@@ -401,8 +401,9 @@ impl Tends {
     /// crash or by cancellation — the call is a plain resume of the
     /// combined run.
     ///
-    /// Replayed nodes report zero score-cache activity (the replay is
-    /// cacheless); every other search counter matches the fresh run.
+    /// A replay runs the same memoized driver over the same integers as a
+    /// fresh search, so every search counter — score-cache hits and misses
+    /// included — matches the fresh combined run.
     ///
     /// # Errors
     ///
@@ -788,24 +789,25 @@ impl Tends {
         }
     }
 
-    /// The one per-node search driver, on a cost-aware worker pool. Each
-    /// node is, in order of preference: *restored* from the resumed
-    /// checkpoint as-is; *replayed* — on an append, when its warm entry is
-    /// clean (see [`Warm::clean_table`]) — by running the cacheless
-    /// reference search over the merged joint table; or *searched* from
-    /// the columns.
+    /// The per-node search stage, on a cost-aware worker pool. Each node
+    /// is, in order of preference: *restored* from the resumed checkpoint
+    /// as-is; *replayed* — on an append, when its warm entry is clean (see
+    /// [`Warm::clean_table`]) — from the merged joint table; or *searched*
+    /// from the joint table of its columns. Both of the latter run the one
+    /// driver, [`find_parents_from`], over the table's [`Lattice`] of
+    /// subset marginals; only a candidate set too large to tabulate
+    /// searches the columns directly.
     ///
     /// Per-node search cost varies wildly: with `k = |P_i|` candidates a
     /// node enumerates `Θ(k²)` combinations (at the default
-    /// `max_combo_size = 2`), a replay only marginalizes a `2^k`-cell
-    /// table, and a fully pruned node scores only the empty set. Chunks
-    /// are therefore weighted by those estimates (see
-    /// [`parallel::cost_chunks`]) so a handful of hub nodes doesn't
-    /// serialize the pool. Each worker owns one [`SearchScratch`]
-    /// (counting workspace + score cache) reused across all its nodes;
+    /// `max_combo_size = 2`), a replay skips the column pass, and a fully
+    /// pruned node scores only the empty set. Chunks are therefore
+    /// weighted by those estimates (see [`parallel::cost_chunks`]) so a
+    /// handful of hub nodes doesn't serialize the pool. Each worker owns
+    /// one [`Lattice`] and one [`ScoreCache`] reused across all its nodes;
     /// each node's result depends only on its id, so the output is
     /// identical for every thread count — and so are the summed
-    /// search/workspace/cache counters reported through `rec` (per-worker
+    /// search/cache counters reported through `rec` (per-worker
     /// chunk claims are the one scheduler-dependent datum, and land in the
     /// runtime-only report section).
     ///
@@ -911,7 +913,7 @@ impl Tends {
         let doorbell = checkpoint_path.map(|_| Mutex::new(tx));
         let queue: Mutex<Vec<(NodeId, CheckpointEntry)>> = Mutex::new(Vec::new());
 
-        type NodeOut = (NodeSearchResult, WorkspaceStats, bool);
+        type NodeOut = (NodeSearchResult, bool);
         let (results, pool, writer_result) = std::thread::scope(|scope| {
             let writer = initial.map(|ck| {
                 let path = checkpoint_path.expect("checkpoint path");
@@ -922,26 +924,26 @@ impl Tends {
                 &costs,
                 4,
                 self.config.threads,
-                SearchScratch::new,
-                |scratch, i| -> Result<NodeOut, NodeError> {
+                <(Lattice, ScoreCache)>::default,
+                |(lattice, cache), i| -> Result<NodeOut, NodeError> {
                     let id = base + i as NodeId;
                     let cands = &candidates[i];
                     if let Some(entry) = restored.get(&id) {
-                        return Ok((entry.clone().into_result(), entry.ws, false));
+                        return Ok((entry.clone().into_result(), false));
                     }
-                    let (res, ws, table, replayed) =
+                    let search = &self.config.search;
+                    let (res, table, replayed) =
                         match warm.as_ref().and_then(|w| w.clean_table(id, cands)) {
-                            Some((entry, table)) => {
-                                let res =
-                                    find_parents_reference(&table, id, cands, &self.config.search)
-                                        .map_err(NodeError::Search)?;
-                                // Workspace activity is carried over from the
-                                // original search: a replay never touches one.
-                                (res, entry.ws, Some(table.cells().to_vec()), true)
+                            Some(table) => {
+                                lattice.fill(&table);
+                                let res = find_parents_from(&*lattice, cache, id, cands, search)
+                                    .map_err(NodeError::Search)?;
+                                (res, Some(table), true)
                             }
                             None => {
-                                let (res, ws) = self.search_node(
-                                    scratch,
+                                let (res, table) = self.search_node(
+                                    lattice,
+                                    cache,
                                     cols,
                                     id,
                                     cands,
@@ -949,19 +951,15 @@ impl Tends {
                                     parent_span,
                                     options,
                                 )?;
-                                // The joint candidate table is the warm state
-                                // the next cascade append replays from; an
-                                // oversized candidate set just re-searches.
-                                let table = doorbell
-                                    .as_ref()
-                                    .filter(|_| cands.len() <= checkpoint::MAX_TABLE_CANDIDATES)
-                                    .and_then(|_| JointTable::from_cols(cols, id, cands).ok())
-                                    .map(|t| t.cells().to_vec());
-                                (res, ws, table, false)
+                                (res, table, false)
                             }
                         };
+                    // The joint candidate table is the warm state the next
+                    // cascade append replays from; an oversized candidate
+                    // set just re-searches.
+                    let table = doorbell.as_ref().and(table).map(|t| t.cells().to_vec());
                     if let Some(bell) = &doorbell {
-                        let entry = CheckpointEntry::from_result(&res, ws, table);
+                        let entry = CheckpointEntry::from_result(&res, table);
                         let backlog = {
                             let mut q = queue.lock().expect("delta queue lock");
                             q.push((id, entry));
@@ -973,7 +971,7 @@ impl Tends {
                             let _ = bell.lock().expect("doorbell lock").send(());
                         }
                     }
-                    Ok((res, ws, replayed))
+                    Ok((res, replayed))
                 },
             );
             // Disconnect the doorbell so the writer drains the queue one
@@ -991,12 +989,10 @@ impl Tends {
 
         let mut node_results = Vec::with_capacity(n);
         let mut failures: Vec<(NodeId, NodeError)> = Vec::new();
-        let (mut refinements, mut rebases, mut replayed) = (0u64, 0u64, 0usize);
+        let mut replayed = 0usize;
         for (i, r) in results.into_iter().enumerate() {
             match r {
-                Ok((res, ws, was_replayed)) => {
-                    refinements += ws.refinements;
-                    rebases += ws.rebases;
+                Ok((res, was_replayed)) => {
                     replayed += usize::from(was_replayed);
                     node_results.push(res);
                 }
@@ -1028,8 +1024,6 @@ impl Tends {
             rec.add("greedy_rounds", total.greedy_rounds as u64);
             rec.add("score_cache_hits", cache.hits);
             rec.add("score_cache_misses", cache.misses);
-            rec.add("workspace_refinements", refinements);
-            rec.add("workspace_rebases", rebases);
             if warm.is_some() {
                 rec.add("dirty_nodes", (n - replayed) as u64);
                 rec.add("nodes_reused", replayed as u64);
@@ -1045,19 +1039,20 @@ impl Tends {
     }
 
     /// One node's search from the columns: the cancellation and fault
-    /// checks, then [`find_parents_with`] under a `node_search` span.
-    /// Returns the result and the workspace activity it performed.
+    /// checks, then [`find_parents_tabulated`] under a `node_search` span.
+    /// Returns the result and the joint table, if one was built.
     #[allow(clippy::too_many_arguments)]
     fn search_node(
         &self,
-        scratch: &mut SearchScratch,
+        lattice: &mut Lattice,
+        cache: &mut ScoreCache,
         cols: &NodeColumns,
         id: NodeId,
         candidates: &[NodeId],
         rec: &Recorder,
         parent_span: Option<SpanId>,
         options: &RobustOptions<'_>,
-    ) -> Result<(NodeSearchResult, WorkspaceStats), NodeError> {
+    ) -> Result<(NodeSearchResult, Option<JointTable>), NodeError> {
         if let Some(flag) = options.cancel {
             if flag.load(std::sync::atomic::Ordering::Relaxed) {
                 return Err(NodeError::Cancelled);
@@ -1074,20 +1069,12 @@ impl Tends {
         let mut span = rec.span_with_parent("node_search", parent_span);
         span.attr("node", u64::from(id));
         span.attr("candidates", candidates.len() as u64);
-        let before = scratch.ws.stats();
-        let res = find_parents_with(scratch, cols, id, candidates, &self.config.search)
-            .map_err(NodeError::Search)?;
-        let after = scratch.ws.stats();
+        let (res, table) =
+            find_parents_tabulated(lattice, cache, cols, id, candidates, &self.config.search)
+                .map_err(NodeError::Search)?;
         span.attr("score_cache_hits", res.cache_stats.hits);
         span.attr("score_cache_misses", res.cache_stats.misses);
-        // The per-node workspace delta, not the pool total: it is what the
-        // checkpoint stores, so a resumed run can report the same summed
-        // counters as an uninterrupted one.
-        let ws = WorkspaceStats {
-            refinements: after.refinements - before.refinements,
-            rebases: after.rebases - before.rebases,
-        };
-        Ok((res, ws))
+        Ok((res, table))
     }
 }
 
@@ -1124,17 +1111,13 @@ impl Warm<'_> {
     /// the post-append statistics ([`JointTable::agrees_with`]). The
     /// replayed search then sees exactly the counts the combined columns
     /// would produce. Anything else is dirty and re-searches.
-    fn clean_table(
-        &self,
-        id: NodeId,
-        candidates: &[NodeId],
-    ) -> Option<(&CheckpointEntry, JointTable)> {
+    fn clean_table(&self, id: NodeId, candidates: &[NodeId]) -> Option<JointTable> {
         let entry = self.replayable(id, candidates)?;
         let mut sorted = candidates.to_vec();
         sorted.sort_unstable();
         let mut table = JointTable::from_parts(id, sorted, entry.table.clone()?).ok()?;
         table.merge(&JointTable::from_cols(self.appended, id, candidates).ok()?);
-        table.agrees_with(self.stats).then_some((entry, table))
+        table.agrees_with(self.stats).then_some(table)
     }
 }
 
@@ -1597,8 +1580,6 @@ mod tests {
         let hist = &snap.histograms["candidate_set_size"];
         assert_eq!(hist.iter().sum::<u64>(), 6, "one histogram entry per node");
         assert!(snap.worker_chunks.contains_key("parent_search"));
-        assert!(snap.counters["workspace_refinements"] > 0);
-        assert!(snap.counters["workspace_rebases"] > 0);
         assert!(
             snap.counters["score_cache_hits"] > 0,
             "greedy rounds must reuse scores memoized during enumeration"
@@ -1607,12 +1588,6 @@ mod tests {
             snap.counters["score_cache_hits"] + snap.counters["score_cache_misses"],
             snap.counters["combinations_scored"],
             "every evaluation is exactly one cache hit or miss"
-        );
-        assert!(
-            snap.counters["workspace_refinements"] < snap.counters["combinations_scored"],
-            "cache hits must skip workspace refinements ({} vs {})",
-            snap.counters["workspace_refinements"],
-            snap.counters["combinations_scored"]
         );
 
         // Span tree: one root span per phase, and one node_search span per
@@ -1773,8 +1748,9 @@ mod tests {
                 threads,
                 ..Default::default()
             });
+            let fresh_rec = Recorder::new();
             let fresh = tends
-                .reconstruct_observed(&combined, Recorder::disabled())
+                .reconstruct_observed(&combined, &fresh_rec)
                 .expect("search fits");
 
             let path = temp_checkpoint(&format!("append_{threads}.json"));
@@ -1817,12 +1793,27 @@ mod tests {
                 assert_eq!(w.parents, f.parents, "parents of node {i}");
                 assert_eq!(w.score.to_bits(), f.score.to_bits(), "score of node {i}");
                 assert_eq!(w.candidates, f.candidates, "candidates of node {i}");
-                // The replay walks the identical search trajectory, so even
-                // the effort counters match the fresh combined search.
+                // The replay walks the identical search trajectory through
+                // the same memoized driver, so even the effort counters
+                // and the score-cache split match the fresh combined search.
                 assert_eq!(w.stats, f.stats, "search stats of node {i}");
+                assert_eq!(w.cache_stats, f.cache_stats, "cache stats of node {i}");
             }
 
             let snap = rec.snapshot();
+            let fresh_snap = fresh_rec.snapshot();
+            for counter in [
+                "combinations_scored",
+                "bound_rejections",
+                "greedy_rounds",
+                "score_cache_hits",
+                "score_cache_misses",
+            ] {
+                assert_eq!(
+                    snap.counters[counter], fresh_snap.counters[counter],
+                    "{counter} (t={threads})"
+                );
+            }
             let reused = snap.counters["nodes_reused"];
             let dirty = snap.counters["dirty_nodes"];
             assert_eq!(reused + dirty, 10, "every node is reused or dirty");
@@ -1890,6 +1881,21 @@ mod tests {
                 warm.result.global_score.to_bits(),
                 fresh.global_score.to_bits(),
                 "score bits at revision {revision}"
+            );
+            let sum = |r: &TendsResult| {
+                r.node_results.iter().fold(
+                    (SearchStats::default(), ScoreCacheStats::default()),
+                    |(mut stats, mut cache), n| {
+                        stats.merge(&n.stats);
+                        cache.merge(&n.cache_stats);
+                        (stats, cache)
+                    },
+                )
+            };
+            assert_eq!(
+                sum(&warm.result),
+                sum(&fresh),
+                "summed search and cache stats at revision {revision}"
             );
         }
         std::fs::remove_file(&path).ok();

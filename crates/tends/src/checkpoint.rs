@@ -7,7 +7,7 @@
 //! log in the deterministic JSON dialect of `diffnet-observe`:
 //!
 //! ```text
-//! {"format":"diffnet-checkpoint","version":3,"fingerprint":"9f86…","revision":1,"stats":{…}}
+//! {"format":"diffnet-checkpoint","version":4,"fingerprint":"9f86…","revision":1,"stats":{…}}
 //! {"node":0,"parents":[3],"score_bits":"c011…","candidates":[3,7],"table":"12 3 0 55",…}
 //! {"node":2,…}
 //! ```
@@ -38,30 +38,31 @@
 //!   cannot change the remaining ones;
 //! * scores are stored as the hex of their IEEE-754 bits (`score_bits`),
 //!   not as decimal text, so restoring cannot round;
-//! * the per-node effort counters (evaluations, cache hits, workspace
-//!   refinements, …) are stored alongside the parents, so summed
-//!   run-report counters include the work the *original* run did.
+//! * the per-node effort counters (evaluations, bound rejections, greedy
+//!   rounds, score-cache hits and misses) are stored alongside the
+//!   parents, so summed run-report counters include the work the
+//!   *original* run did.
 //!
 //! For incremental re-estimation each entry also carries the node's ranked
 //! candidate list and (size permitting) its full joint contingency
 //! `table` over the id-sorted candidates. Joint tables are additive over
 //! processes, so an append run folds in the new columns' table and replays
-//! the search arithmetic from exact combined integers — byte-identical to
-//! a fresh combined run — without touching historical columns.
+//! the search over the merged table's subset marginals from exact
+//! combined integers — byte-identical to a fresh combined run, effort
+//! counters included — without touching historical columns.
 //!
 //! The `fingerprint` hashes everything the stored results depend on —
 //! matrix dimensions, τ, the search configuration, the statistics
 //! revision, and every candidate list. Resuming against different inputs,
 //! config, or a stale pre-append revision is a typed
 //! [`CheckpointError::Mismatch`], not silent corruption. `version` gates
-//! the schema itself; unknown versions are refused.
+//! the schema itself; unknown versions, version 3 included, are refused.
 
 use crate::imi::PairStats;
 use crate::score::ScoreCacheStats;
 use crate::search::{NodeSearchResult, SearchStats};
 use diffnet_graph::NodeId;
 use diffnet_observe::{Json, ParseError};
-use diffnet_simulate::WorkspaceStats;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::io;
@@ -70,7 +71,7 @@ use std::path::Path;
 /// Schema identifier in the `format` field.
 pub const FORMAT: &str = "diffnet-checkpoint";
 /// Current schema version.
-pub const VERSION: u64 = 3;
+pub const VERSION: u64 = 4;
 
 /// Largest candidate-set size whose joint table is persisted. A table has
 /// `2^(c+1)` `u64` cells, so 10 candidates cap an entry at 16 KiB — past
@@ -152,18 +153,12 @@ pub struct CheckpointEntry {
     pub stats: SearchStats,
     /// Score-cache counters of the original search.
     pub cache_stats: ScoreCacheStats,
-    /// Counting-workspace activity the original search performed.
-    pub ws: WorkspaceStats,
 }
 
 impl CheckpointEntry {
-    /// Builds an entry from a finished node search, the workspace activity
-    /// it performed, and the node's joint candidate table (if captured).
-    pub fn from_result(
-        res: &NodeSearchResult,
-        ws: WorkspaceStats,
-        table: Option<Vec<[u64; 2]>>,
-    ) -> CheckpointEntry {
+    /// Builds an entry from a finished node search and the node's joint
+    /// candidate table (if captured).
+    pub fn from_result(res: &NodeSearchResult, table: Option<Vec<[u64; 2]>>) -> CheckpointEntry {
         CheckpointEntry {
             parents: res.parents.clone(),
             score: res.score,
@@ -171,7 +166,6 @@ impl CheckpointEntry {
             table,
             stats: res.stats,
             cache_stats: res.cache_stats,
-            ws,
         }
     }
 
@@ -293,10 +287,6 @@ impl Checkpoint {
         push_u64(&mut out, e.cache_stats.hits);
         out.push_str(",\"cache_misses\":");
         push_u64(&mut out, e.cache_stats.misses);
-        out.push_str(",\"ws_refinements\":");
-        push_u64(&mut out, e.ws.refinements);
-        out.push_str(",\"ws_rebases\":");
-        push_u64(&mut out, e.ws.rebases);
         out.push('}');
         out
     }
@@ -665,10 +655,6 @@ fn parse_entry(value: &Json) -> Result<(NodeId, CheckpointEntry), CheckpointErro
                 hits: entry_u64(value, "cache_hits")?,
                 misses: entry_u64(value, "cache_misses")?,
             },
-            ws: WorkspaceStats {
-                refinements: entry_u64(value, "ws_refinements")?,
-                rebases: entry_u64(value, "ws_rebases")?,
-            },
         },
     ))
 }
@@ -732,10 +718,6 @@ mod tests {
                     greedy_rounds: 2,
                 },
                 cache_stats: ScoreCacheStats { hits: 4, misses: 6 },
-                ws: WorkspaceStats {
-                    refinements: 6,
-                    rebases: 1,
-                },
             },
         );
         ck.entries.insert(
@@ -748,7 +730,6 @@ mod tests {
                 table: None,
                 stats: SearchStats::default(),
                 cache_stats: ScoreCacheStats::default(),
-                ws: WorkspaceStats::default(),
             },
         );
         ck
@@ -837,9 +818,23 @@ mod tests {
 
         let text = sample()
             .to_text()
-            .replace("\"version\":3", "\"version\":999");
+            .replace("\"version\":4", "\"version\":999");
         let err = Checkpoint::from_text(&text, false).expect_err("unknown version");
         assert!(err.to_string().contains("version"));
+    }
+
+    #[test]
+    fn version_3_files_are_refused_with_a_typed_error() {
+        // A version-3 entry carried the retired counting-workspace
+        // counters; the header's version alone is enough to refuse it.
+        let mut text = sample().to_text().replace("\"version\":4", "\"version\":3");
+        text = text.replace(
+            "\"cache_misses\":6}",
+            "\"cache_misses\":6,\"ws_refinements\":6,\"ws_rebases\":1}",
+        );
+        let err = Checkpoint::from_text(&text, false).expect_err("version 3");
+        assert!(matches!(err, CheckpointError::Format(_)), "{err:?}");
+        assert!(err.to_string().contains("unknown version 3"), "{err}");
     }
 
     #[test]
@@ -936,8 +931,6 @@ mod tests {
             entry.push("greedy_rounds", e.stats.greedy_rounds);
             entry.push("cache_hits", e.cache_stats.hits);
             entry.push("cache_misses", e.cache_stats.misses);
-            entry.push("ws_refinements", e.ws.refinements);
-            entry.push("ws_rebases", e.ws.rebases);
             assert_eq!(Checkpoint::entry_line(id, e), entry.to_compact());
         }
     }

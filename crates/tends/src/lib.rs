@@ -69,6 +69,6 @@ pub use imi::{CorrelationMatrix, CorrelationMeasure, PairStats};
 pub use kmeans::{pinned_two_means, PinnedKmeans};
 pub use score::ScoreCacheStats;
 pub use search::{
-    CountSource, GreedyStrategy, JointTable, SearchError, SearchParams, SearchScratch, SearchStats,
+    CountSource, GreedyStrategy, JointTable, Lattice, SearchError, SearchParams, SearchStats,
 };
 pub use stream::{plan_shards, Shard, SparseCandidates};

@@ -108,15 +108,15 @@ where
 
 /// What the score cache did during one search (or a sum over many).
 ///
-/// Kept separate from `SearchStats` deliberately: the reference search has
-/// no cache, and the equivalence oracle asserts the cached path's
-/// `SearchStats` are *identical* to the reference's — evaluations still
-/// count on a hit, only the workspace refinement is skipped.
+/// Kept separate from `SearchStats`: evaluations count there whether or
+/// not the cache answers them, and a search with the cache switched off
+/// (more than 64 candidates) reports zero here with the same
+/// `SearchStats`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ScoreCacheStats {
-    /// Evaluations answered from the cache (no workspace refinement).
+    /// Evaluations answered from the cache.
     pub hits: u64,
-    /// Evaluations that refined the workspace and populated the cache.
+    /// Evaluations that read the counts and populated the cache.
     pub misses: u64,
 }
 
@@ -148,8 +148,7 @@ pub struct CachedScore {
 /// standing for candidate `t`. Greedy rounds re-probe subsets already
 /// scored during enumeration (round one re-scores every combination
 /// verbatim), and the exhaustive strategy re-visits every enumerated
-/// combination; both hit this cache instead of re-refining the workspace
-/// partition.
+/// combination; both hit this cache instead of reading the counts again.
 ///
 /// A cached score was computed from the exact counts table (same sorted
 /// parent order, same summation order) a fresh evaluation would build, so

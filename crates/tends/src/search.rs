@@ -13,39 +13,46 @@
 //! ([`GreedyStrategy`]); the improvement-driven variant is the default and
 //! the literal one is kept for the ablation bench.
 //!
+//! There is one search driver, [`find_parents_from`], generic over where
+//! its `N_ijk` tables come from ([`CountSource`]). For a node with at most
+//! [`MAX_TABLE_CANDIDATES`] candidates the source is a [`Lattice`]: every
+//! subset marginal of the node's [`JointTable`], summed once, so each
+//! evaluation is a slice lookup. The table comes from the columns on a
+//! fresh search and from persisted plus appended cells on an append
+//! replay. Larger candidate sets count from the [`NodeColumns`] directly.
 //! Every evaluated subset is memoized in a [`ScoreCache`] keyed on its
 //! candidate-subset bitmask, so greedy rounds (and the exhaustive
 //! strategy) that re-probe a subset already scored — round one re-scores
-//! every enumerated combination verbatim — reuse the score and `φ` instead
-//! of re-refining the workspace partition. Cached reuse is bit-identical
-//! to recounting, which the reference-oracle test pins down.
+//! every enumerated combination verbatim — reuse the score and `φ`.
+//! Sources hand out the same integers in the same cell order, so scores,
+//! [`SearchStats`] and cache counters do not depend on the source.
 
+use crate::checkpoint::MAX_TABLE_CANDIDATES;
 use crate::imi::{CorrelationMatrix, PairStats};
 use crate::score::{self, CachedScore, ScoreCache, ScoreCacheStats};
 use diffnet_graph::NodeId;
-use diffnet_simulate::{ComboSizeError, CountsWorkspace, NodeColumns, MAX_TABULATED_PARENTS};
+use diffnet_simulate::{ComboSizeError, NodeColumns};
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::fmt;
 
-/// The counting surface the reference search drivers consume: everything a
-/// per-node search needs is `β`, the child's ones count, and `N_ijk`
-/// combination tables. [`NodeColumns`] implements it by word-parallel
-/// bitset counting; [`JointTable`] implements it by *marginalizing* a
-/// persisted joint contingency table — same integers, no column data —
-/// which is what lets an append run replay unchanged nodes byte-identically
-/// without re-reading history.
+/// The counting surface the search driver consumes: everything a per-node
+/// search needs is `β`, the child's ones count, and `N_ijk` combination
+/// tables. [`NodeColumns`] implements it by word-parallel bitset counting;
+/// [`Lattice`] by looking up a precomputed marginal of the node's joint
+/// table — same integers, same cell order.
 pub trait CountSource {
     /// Number of processes `β`.
     fn num_processes(&self) -> usize;
     /// Number of processes where `child` is infected.
     fn ones(&self, child: NodeId) -> u64;
-    /// Counts `N_ijk` for `child` over the ordered `parents`
+    /// Counts `N_ijk` for `child` over the id-sorted `parents`
     /// (see [`NodeColumns::combo_counts`] for the layout contract).
     fn combo_counts(
         &self,
         child: NodeId,
         parents: &[NodeId],
-    ) -> Result<Vec<[u64; 2]>, ComboSizeError>;
+    ) -> Result<Cow<'_, [[u64; 2]]>, ComboSizeError>;
 }
 
 impl CountSource for NodeColumns {
@@ -61,8 +68,8 @@ impl CountSource for NodeColumns {
         &self,
         child: NodeId,
         parents: &[NodeId],
-    ) -> Result<Vec<[u64; 2]>, ComboSizeError> {
-        NodeColumns::combo_counts(self, child, parents)
+    ) -> Result<Cow<'_, [[u64; 2]]>, ComboSizeError> {
+        NodeColumns::combo_counts(self, child, parents).map(Cow::Owned)
     }
 }
 
@@ -71,12 +78,14 @@ impl CountSource for NodeColumns {
 /// combination `J` (candidate `t`'s status is bit `t`) split by the
 /// child's status `[uninfected, infected]`.
 ///
-/// Two properties make it the warm state of incremental re-estimation:
+/// Two properties make it the one input of the parent search and the warm
+/// state of incremental re-estimation:
 ///
 /// * **Any subset's counts marginalize out exactly.** For `W ⊆`
 ///   candidates, summing cells over the dropped bits yields the same
 ///   integers [`NodeColumns::combo_counts`] would count from the columns,
-///   so every score evaluated from the table is the bit-identical float.
+///   so every score evaluated from the table ([`Lattice`]) is the
+///   bit-identical float.
 /// * **Tables add over processes.** Row-disjoint process sets contribute
 ///   independent counts, so `table(base ∪ appended) = table(base) +
 ///   table(appended)` cell-wise — an append folds in a table built from
@@ -201,48 +210,101 @@ impl JointTable {
     }
 }
 
-impl CountSource for JointTable {
+/// All `3^k` subset marginals of one [`JointTable`] over `k` candidates:
+/// subset `S` (bit `t` ⇔ the table's `t`-th candidate) owns `2^|S|` cells
+/// in [`NodeColumns::combo_counts`] order, so a search evaluation is a
+/// slice lookup. At `k` = [`MAX_TABLE_CANDIDATES`] that is 59,049 cells
+/// (945 KB); one per worker is [`fill`](Self::fill)ed per node, keeping
+/// its buffers.
+#[derive(Clone, Debug, Default)]
+pub struct Lattice {
+    child: NodeId,
+    candidates: Vec<NodeId>,
+    /// Where subset `S`'s cells start, indexed by `S`.
+    offsets: Vec<usize>,
+    cells: Vec<[u64; 2]>,
+}
+
+impl Lattice {
+    /// Sums every subset marginal of `table`. Subsets are visited from
+    /// the full set down: `S`'s cells come from those of `S ∪ {d}`, `d`
+    /// its lowest absent bit, which is numerically larger and so already
+    /// summed. Every bit below `d` is in `S`, so `d` is bit `d` of the
+    /// larger subset's cell index, and dropping it adds cell pairs
+    /// `(j₀, j₀ + 2^d)`. Integer sums are exact, so each marginal equals
+    /// what the columns would count.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the table has more than [`MAX_TABLE_CANDIDATES`]
+    /// candidates.
+    pub fn fill(&mut self, table: &JointTable) {
+        let k = table.candidates.len();
+        assert!(
+            k <= MAX_TABLE_CANDIDATES,
+            "a lattice over {k} candidates exceeds {MAX_TABLE_CANDIDATES}"
+        );
+        let full = (1usize << k) - 1;
+        self.child = table.child;
+        self.candidates.clone_from(&table.candidates);
+        self.offsets.clear();
+        let mut end = 0;
+        for s in 0..=full {
+            self.offsets.push(end);
+            end += 1 << s.count_ones();
+        }
+        self.cells.clear();
+        self.cells.resize(end, [0; 2]);
+        self.cells[self.offsets[full]..].copy_from_slice(&table.cells);
+        for s in (0..full).rev() {
+            let d = (!s).trailing_zeros();
+            let larger = s | 1 << d;
+            let (lo, hi) = self.cells.split_at_mut(self.offsets[larger]);
+            let low = (1usize << d) - 1;
+            let start = self.offsets[s];
+            for (j, cell) in lo[start..start + (1 << s.count_ones())]
+                .iter_mut()
+                .enumerate()
+            {
+                let j0 = (j & low) | ((j & !low) << 1);
+                let (a, b) = (hi[j0], hi[j0 | 1 << d]);
+                *cell = [a[0].saturating_add(b[0]), a[1].saturating_add(b[1])];
+            }
+        }
+    }
+
+    /// The cells of subset `mask` (bit `t` ⇔ the `t`-th sorted candidate).
+    pub fn marginal(&self, mask: usize) -> &[[u64; 2]] {
+        &self.cells[self.offsets[mask]..][..1 << mask.count_ones()]
+    }
+}
+
+impl CountSource for Lattice {
     fn num_processes(&self) -> usize {
-        self.cells.iter().map(|c| (c[0] + c[1]) as usize).sum()
+        let [n1, n2] = self.cells[0];
+        n1.saturating_add(n2) as usize
     }
 
     fn ones(&self, child: NodeId) -> u64 {
-        debug_assert_eq!(child, self.child, "table serves a single child");
-        self.cells.iter().map(|c| c[1]).sum()
+        debug_assert_eq!(child, self.child, "a lattice serves a single child");
+        self.cells[0][1]
     }
 
     fn combo_counts(
         &self,
         child: NodeId,
         parents: &[NodeId],
-    ) -> Result<Vec<[u64; 2]>, ComboSizeError> {
-        debug_assert_eq!(child, self.child, "table serves a single child");
-        if parents.len() > MAX_TABULATED_PARENTS {
-            return Err(ComboSizeError {
-                parents: parents.len(),
-            });
-        }
-        // Positions of the queried parents among the table's candidates.
-        // Search subsets are always drawn from the candidate list, which
-        // replay callers verify is unchanged before consulting the table.
-        let pos: Vec<usize> = parents
-            .iter()
-            .map(|p| {
-                self.candidates
-                    .binary_search(p)
-                    .expect("replayed subsets are drawn from the candidate set")
-            })
-            .collect();
-        let mut out = vec![[0u64; 2]; 1usize << parents.len()];
-        for (j, cell) in self.cells.iter().enumerate() {
-            let mut k = 0usize;
-            for (t, &p) in pos.iter().enumerate() {
-                k |= ((j >> p) & 1) << t;
-            }
-            out[k][0] += cell[0];
-            out[k][1] += cell[1];
-        }
-        Ok(out)
+    ) -> Result<Cow<'_, [[u64; 2]]>, ComboSizeError> {
+        debug_assert_eq!(child, self.child, "a lattice serves a single child");
+        debug_assert!(parents.windows(2).all(|w| w[0] < w[1]), "parents sorted");
+        let mask = parents.iter().fold(0usize, |mask, p| {
+            let t = self
+                .candidates
+                .binary_search(p)
+                .expect("searched subsets are drawn from the candidate set");
+            mask | 1 << t
+        });
+        Ok(Cow::Borrowed(self.marginal(mask)))
     }
 }
 
@@ -341,11 +403,9 @@ pub struct Combo {
 /// ingested into a `diffnet_observe::Recorder` at phase boundaries.
 ///
 /// Every field is a pure function of the node's inputs, so per-node stats
-/// — and their sums across nodes — are identical at every thread count.
-/// The workspace and reference search paths maintain them identically,
-/// which the equivalence oracle test asserts. (Score-cache hits count as
-/// evaluations here; the hit/miss split lives in [`ScoreCacheStats`],
-/// outside this struct, precisely so the oracle equality holds.)
+/// — and their sums across nodes — are identical at every thread count
+/// and for every count source. Score-cache hits count as evaluations
+/// here; the hit/miss split lives in [`ScoreCacheStats`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SearchStats {
     /// Local-score evaluations (combinations scored, incl. the empty set).
@@ -369,24 +429,6 @@ impl SearchStats {
     }
 }
 
-/// Per-worker scratch state for the parent search: the incremental
-/// counting workspace plus the cross-round score cache. One instance
-/// serves many nodes in sequence, retaining both structures' buffers.
-#[derive(Clone, Debug, Default)]
-pub struct SearchScratch {
-    /// Incremental `N_ijk` counting engine.
-    pub ws: CountsWorkspace,
-    /// Cross-round `g(v_i, F ∪ W)` memo (reset per child).
-    pub cache: ScoreCache,
-}
-
-impl SearchScratch {
-    /// Fresh scratch state.
-    pub fn new() -> Self {
-        SearchScratch::default()
-    }
-}
-
 /// Per-node outcome of the parent search.
 #[derive(Clone, Debug)]
 pub struct NodeSearchResult {
@@ -399,8 +441,8 @@ pub struct NodeSearchResult {
     pub candidates: Vec<NodeId>,
     /// Search-effort counters for this node.
     pub stats: SearchStats,
-    /// Score-cache hit/miss counters for this node (all zero on the
-    /// cacheless reference path).
+    /// Score-cache hit/miss counters for this node (all zero when more
+    /// than 64 candidates switch the cache off).
     pub cache_stats: ScoreCacheStats,
 }
 
@@ -446,173 +488,6 @@ pub fn candidate_parents(
     cands.into_iter().map(|(_, j)| j).collect()
 }
 
-/// The subset bitmask of `nodes` over the candidate list: bit `t` set iff
-/// `candidates[t] ∈ nodes`. Callers must ensure `nodes ⊆ candidates` and
-/// `candidates.len() ≤ 64` (the cache is disabled otherwise).
-fn subset_mask(nodes: &[NodeId], candidates: &[NodeId]) -> u64 {
-    let mut mask = 0u64;
-    for &v in nodes {
-        let pos = candidates
-            .iter()
-            .position(|&c| c == v)
-            .expect("scored subsets are drawn from the candidate list");
-        mask |= 1u64 << pos;
-    }
-    mask
-}
-
-/// Scores one subset through the cache: a hit reuses the memoized
-/// `(score, φ)` pair; a miss refines the workspace partition along
-/// `extra` (the subset minus the workspace's current base) and memoizes
-/// the result. `key` is `None` when caching is disabled (more than 64
-/// candidates). Bit-identical to always recounting.
-fn eval_cached(
-    cache: &mut ScoreCache,
-    ws: &mut CountsWorkspace,
-    cols: &NodeColumns,
-    child: NodeId,
-    extra: &[NodeId],
-    key: Option<u64>,
-) -> Result<CachedScore, ComboSizeError> {
-    if let Some(k) = key {
-        if let Some(cached) = cache.get(k) {
-            return Ok(cached);
-        }
-    }
-    let counts = ws.refined_counts(cols, child, extra)?;
-    let value = CachedScore {
-        score: score::local_score(counts),
-        phi: score::phi(counts),
-    };
-    if let Some(k) = key {
-        cache.insert(k, value);
-    }
-    Ok(value)
-}
-
-/// Enumerates and scores every combination `W ⊆ candidates` with
-/// `1 ≤ |W| ≤ max_combo_size` that satisfies the Theorem-2 bound
-/// `|W| ≤ log₂(φ_W + δ)` (Algorithm 1 lines 13–15).
-///
-/// # Errors
-///
-/// Returns [`ComboSizeError`] if `max_combo_size` admits a combination too
-/// large to tabulate (more than
-/// [`diffnet_simulate::MAX_TABULATED_PARENTS`] nodes).
-pub fn enumerate_combos(
-    cols: &NodeColumns,
-    child: NodeId,
-    candidates: &[NodeId],
-    max_combo_size: usize,
-    delta: f64,
-    stats: &mut SearchStats,
-) -> Result<Vec<Combo>, ComboSizeError> {
-    let mut scratch = SearchScratch::new();
-    enumerate_combos_with(
-        &mut scratch,
-        cols,
-        child,
-        candidates,
-        max_combo_size,
-        delta,
-        stats,
-    )
-}
-
-/// [`enumerate_combos`] on caller-provided scratch state: every
-/// combination is scored through the incremental counting kernel (reusing
-/// the workspace's buffers across evaluations) and memoized in the score
-/// cache for the greedy rounds that follow.
-pub fn enumerate_combos_with(
-    scratch: &mut SearchScratch,
-    cols: &NodeColumns,
-    child: NodeId,
-    candidates: &[NodeId],
-    max_combo_size: usize,
-    delta: f64,
-    stats: &mut SearchStats,
-) -> Result<Vec<Combo>, ComboSizeError> {
-    scratch.ws.set_base(cols, &[])?;
-    let cache_on = candidates.len() <= 64;
-    let mut combos = Vec::new();
-    let mut stack: Vec<NodeId> = Vec::new();
-    let mut sorted: Vec<NodeId> = Vec::new();
-    enumerate_rec(
-        scratch,
-        cols,
-        child,
-        candidates,
-        cache_on,
-        0,
-        max_combo_size.max(1),
-        delta,
-        &mut stack,
-        &mut sorted,
-        &mut combos,
-        stats,
-    )?;
-    Ok(combos)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn enumerate_rec(
-    scratch: &mut SearchScratch,
-    cols: &NodeColumns,
-    child: NodeId,
-    candidates: &[NodeId],
-    cache_on: bool,
-    start: usize,
-    max_size: usize,
-    delta: f64,
-    stack: &mut Vec<NodeId>,
-    sorted: &mut Vec<NodeId>,
-    out: &mut Vec<Combo>,
-    stats: &mut SearchStats,
-) -> Result<(), ComboSizeError> {
-    for idx in start..candidates.len() {
-        stack.push(candidates[idx]);
-        sorted.clear();
-        sorted.extend_from_slice(stack);
-        sorted.sort_unstable();
-        let key = cache_on.then(|| subset_mask(sorted, candidates));
-        let eval = eval_cached(
-            &mut scratch.cache,
-            &mut scratch.ws,
-            cols,
-            child,
-            sorted,
-            key,
-        )?;
-        stats.evaluations += 1;
-        if score::within_bound(sorted.len(), eval.phi, delta) {
-            out.push(Combo {
-                nodes: sorted.clone(),
-                score: eval.score,
-            });
-        } else {
-            stats.bound_rejections += 1;
-        }
-        if stack.len() < max_size {
-            enumerate_rec(
-                scratch,
-                cols,
-                child,
-                candidates,
-                cache_on,
-                idx + 1,
-                max_size,
-                delta,
-                stack,
-                sorted,
-                out,
-                stats,
-            )?;
-        }
-        stack.pop();
-    }
-    Ok(())
-}
-
 /// Hard ceiling on a parent set's size, independent of Theorem 2's bound.
 ///
 /// The Theorem-2 bound `|F| ≤ log₂(φ_F + δ)` self-saturates once
@@ -636,12 +511,221 @@ fn union(f: &[NodeId], w: &[NodeId]) -> Vec<NodeId> {
     u
 }
 
-/// Runs the full per-node parent search: enumeration followed by greedy
-/// expansion (Algorithm 1 lines 13–20).
+/// One node's search state: the count source, the score memo, and the
+/// effort counters every strategy bumps the same way.
+struct Scorer<'a, C: ?Sized> {
+    source: &'a C,
+    cache: &'a mut ScoreCache,
+    child: NodeId,
+    candidates: &'a [NodeId],
+    /// Theorem 2's `δ_i`.
+    delta: f64,
+    stats: SearchStats,
+}
+
+impl<C: CountSource + ?Sized> Scorer<'_, C> {
+    /// `g(v_i, nodes)` and `φ`, through the cache. The key is the subset
+    /// bitmask over the candidate list (bit `t` ⇔ `candidates[t]`), so the
+    /// cache is off above 64 candidates. `nodes` is sorted and drawn from
+    /// the candidates.
+    fn eval(&mut self, nodes: &[NodeId]) -> Result<CachedScore, ComboSizeError> {
+        self.stats.evaluations += 1;
+        let key = (self.candidates.len() <= 64).then(|| {
+            nodes.iter().fold(0u64, |mask, v| {
+                let t = self
+                    .candidates
+                    .iter()
+                    .position(|c| c == v)
+                    .expect("scored subsets are drawn from the candidate list");
+                mask | 1 << t
+            })
+        });
+        if let Some(hit) = key.and_then(|k| self.cache.get(k)) {
+            return Ok(hit);
+        }
+        let counts = self.source.combo_counts(self.child, nodes)?;
+        let value = CachedScore {
+            score: score::local_score(&counts),
+            phi: score::phi(&counts),
+        };
+        if let Some(k) = key {
+            self.cache.insert(k, value);
+        }
+        Ok(value)
+    }
+
+    /// [`eval`](Self::eval) followed by the Theorem-2 bound
+    /// `|nodes| ≤ log₂(φ + δ)`: the score when admissible, `None` (and a
+    /// counted rejection) otherwise.
+    fn admissible(&mut self, nodes: &[NodeId]) -> Result<Option<f64>, ComboSizeError> {
+        let eval = self.eval(nodes)?;
+        if score::within_bound(nodes.len(), eval.phi, self.delta) {
+            Ok(Some(eval.score))
+        } else {
+            self.stats.bound_rejections += 1;
+            Ok(None)
+        }
+    }
+
+    /// Every admissible combination `W ⊆ candidates` with
+    /// `1 ≤ |W| ≤ max_size`, depth-first in candidate order (Algorithm 1
+    /// lines 13–15).
+    fn enumerate(
+        &mut self,
+        start: usize,
+        max_size: usize,
+        stack: &mut Vec<NodeId>,
+        out: &mut Vec<Combo>,
+    ) -> Result<(), ComboSizeError> {
+        let candidates = self.candidates;
+        for (idx, &c) in candidates.iter().enumerate().skip(start) {
+            stack.push(c);
+            let mut w = stack.clone();
+            w.sort_unstable();
+            if let Some(score) = self.admissible(&w)? {
+                out.push(Combo { nodes: w, score });
+            }
+            if stack.len() < max_size {
+                self.enumerate(idx + 1, max_size, stack, out)?;
+            }
+            stack.pop();
+        }
+        Ok(())
+    }
+
+    /// §IV-A greedy: each round, evaluate `g(v_i, F ∪ W)` for every
+    /// remaining admissible combination and take the best strict
+    /// improvement.
+    fn best_improvement(
+        &mut self,
+        mut combos: Vec<Combo>,
+        empty_score: f64,
+    ) -> Result<(Vec<NodeId>, f64), ComboSizeError> {
+        const EPS: f64 = 1e-9;
+        let mut f: Vec<NodeId> = Vec::new();
+        let mut current = empty_score;
+        while !combos.is_empty() {
+            self.stats.greedy_rounds += 1;
+            let mut best: Option<(usize, Vec<NodeId>, f64)> = None;
+            let mut keep = vec![true; combos.len()];
+            for (idx, combo) in combos.iter().enumerate() {
+                let u = union(&f, &combo.nodes);
+                if u.len() == f.len() {
+                    // W ⊆ F already: it can never change the score again.
+                    keep[idx] = false;
+                    continue;
+                }
+                if u.len() > MAX_PARENTS {
+                    continue;
+                }
+                let Some(s) = self.admissible(&u)? else {
+                    continue;
+                };
+                if s > current + EPS && best.as_ref().is_none_or(|&(_, _, bs)| s > bs) {
+                    best = Some((idx, u, s));
+                }
+            }
+            let Some((idx, u, s)) = best else { break };
+            f = u;
+            current = s;
+            keep[idx] = false;
+            let mut it = keep.iter();
+            combos.retain(|_| *it.next().expect("keep covers combos"));
+        }
+        Ok((f, current))
+    }
+
+    /// Literal Algorithm-1 greedy: pop combinations in descending
+    /// standalone score; union in each one whose union satisfies the
+    /// Theorem-2 bound.
+    fn score_ordered(
+        &mut self,
+        mut combos: Vec<Combo>,
+        empty_score: f64,
+    ) -> Result<(Vec<NodeId>, f64), ComboSizeError> {
+        combos.sort_by(|a, b| b.score.partial_cmp(&a.score).expect("no NaNs"));
+        let mut f: Vec<NodeId> = Vec::new();
+        let mut current = empty_score;
+        for combo in &combos {
+            let u = union(&f, &combo.nodes);
+            if u.len() == f.len() || u.len() > MAX_PARENTS {
+                continue;
+            }
+            if let Some(s) = self.admissible(&u)? {
+                self.stats.greedy_rounds += 1;
+                f = u;
+                current = s;
+            }
+        }
+        Ok((f, current))
+    }
+
+    /// Exhaustive maximization of the local score over all admissible
+    /// subsets of the candidate set. Subsets larger than [`MAX_PARENTS`]
+    /// are skipped; candidate sets beyond [`MAX_EXHAUSTIVE_CANDIDATES`]
+    /// are a typed error. Subsets already scored during enumeration come
+    /// straight from the score cache.
+    fn exhaustive(&mut self, empty_score: f64) -> Result<(Vec<NodeId>, f64), ComboSizeError> {
+        let c = self.candidates.len();
+        if c > MAX_EXHAUSTIVE_CANDIDATES {
+            return Err(ComboSizeError { parents: c });
+        }
+        let mut best: (Vec<NodeId>, f64) = (Vec::new(), empty_score);
+        for mask in 1u32..(1u32 << c) {
+            if (mask.count_ones() as usize) > MAX_PARENTS {
+                continue;
+            }
+            let mut subset: Vec<NodeId> = (0..c)
+                .filter(|&t| mask & (1 << t) != 0)
+                .map(|t| self.candidates[t])
+                .collect();
+            subset.sort_unstable();
+            if let Some(s) = self.admissible(&subset)? {
+                if s > best.1 {
+                    best = (subset, s);
+                }
+            }
+        }
+        Ok(best)
+    }
+}
+
+/// Enumerates and scores every combination `W ⊆ candidates` with
+/// `1 ≤ |W| ≤ max_combo_size` that satisfies the Theorem-2 bound
+/// `|W| ≤ log₂(φ_W + δ)` (Algorithm 1 lines 13–15).
 ///
-/// Convenience wrapper over [`find_parents_with`] that builds a fresh
-/// [`SearchScratch`]; callers searching many nodes should hold one scratch
-/// and call [`find_parents_with`] directly to reuse its buffers.
+/// # Errors
+///
+/// Returns [`ComboSizeError`] if `max_combo_size` admits a combination too
+/// large to tabulate (more than
+/// [`diffnet_simulate::MAX_TABULATED_PARENTS`] nodes).
+pub fn enumerate_combos(
+    cols: &NodeColumns,
+    child: NodeId,
+    candidates: &[NodeId],
+    max_combo_size: usize,
+    delta: f64,
+    stats: &mut SearchStats,
+) -> Result<Vec<Combo>, ComboSizeError> {
+    let mut cache = ScoreCache::new();
+    let mut scorer = Scorer {
+        source: cols,
+        cache: &mut cache,
+        child,
+        candidates,
+        delta,
+        stats: SearchStats::default(),
+    };
+    let mut combos = Vec::new();
+    scorer.enumerate(0, max_combo_size.max(1), &mut Vec::new(), &mut combos)?;
+    stats.merge(&scorer.stats);
+    Ok(combos)
+}
+
+/// Runs the full per-node parent search — enumeration followed by greedy
+/// expansion (Algorithm 1 lines 13–20) — the way the pipeline does: over
+/// the [`Lattice`] of the node's [`JointTable`] when it has at most
+/// [`MAX_TABLE_CANDIDATES`] candidates, over the columns otherwise.
 ///
 /// # Errors
 ///
@@ -655,608 +739,93 @@ pub fn find_parents(
     candidates: &[NodeId],
     params: &SearchParams,
 ) -> Result<NodeSearchResult, SearchError> {
-    let mut scratch = SearchScratch::new();
-    find_parents_with(&mut scratch, cols, child, candidates, params)
+    let (mut lattice, mut cache) = (Lattice::default(), ScoreCache::new());
+    find_parents_tabulated(&mut lattice, &mut cache, cols, child, candidates, params)
+        .map(|(res, _)| res)
 }
 
-/// [`find_parents`] on caller-provided scratch state.
+/// [`find_parents`] on a caller's lattice and cache — one per worker,
+/// reused node after node — also returning the joint table it searched
+/// (`None` above [`MAX_TABLE_CANDIDATES`], where it counts from the
+/// columns).
 ///
-/// Every strategy scores `g(v_i, F ∪ W)` through the score cache backed by
-/// [`CountsWorkspace::refined_counts`]: the accepted parent set `F` is
-/// instantiated once per greedy round, each candidate extension refines
-/// that cached partition — unless the subset was already scored this
-/// search, in which case the memoized `(score, φ)` pair is reused and the
-/// refinement skipped. Results are bit-identical to
-/// [`find_parents_reference`], including all [`SearchStats`] counters.
-pub fn find_parents_with(
-    scratch: &mut SearchScratch,
+/// # Errors
+///
+/// As [`find_parents`].
+pub fn find_parents_tabulated(
+    lattice: &mut Lattice,
+    cache: &mut ScoreCache,
     cols: &NodeColumns,
     child: NodeId,
     candidates: &[NodeId],
     params: &SearchParams,
-) -> Result<NodeSearchResult, SearchError> {
-    let wrap = |source: ComboSizeError| SearchError { child, source };
-    let beta = cols.num_processes() as u64;
-    let n2 = cols.ones(child);
-    let delta = score::delta(beta, beta - n2, n2);
-    let cache_on = candidates.len() <= 64;
-
-    let mut stats = SearchStats::default();
-    scratch.cache.reset();
-    scratch.ws.set_base(cols, &[]).map_err(wrap)?;
-    let empty = eval_cached(
-        &mut scratch.cache,
-        &mut scratch.ws,
-        cols,
-        child,
-        &[],
-        cache_on.then_some(0),
-    )
-    .map_err(wrap)?;
-    let empty_score = empty.score;
-    stats.evaluations += 1;
-
-    let mut combos = enumerate_combos_with(
-        scratch,
-        cols,
-        child,
-        candidates,
-        params.max_combo_size,
-        delta,
-        &mut stats,
-    )
-    .map_err(wrap)?;
-
-    let (parents, final_score) = match params.strategy {
-        GreedyStrategy::BestImprovement => greedy_best_improvement(
-            scratch,
-            cols,
-            child,
-            candidates,
-            combos,
-            empty_score,
-            delta,
-            &mut stats,
-        )
-        .map_err(wrap)?,
-        GreedyStrategy::ScoreOrdered => {
-            combos.sort_by(|a, b| b.score.partial_cmp(&a.score).expect("no NaNs"));
-            greedy_score_ordered(
-                scratch,
-                cols,
-                child,
-                candidates,
-                &combos,
-                empty_score,
-                delta,
-                &mut stats,
-            )
-            .map_err(wrap)?
-        }
-        GreedyStrategy::Exhaustive => exhaustive_search(
-            scratch,
-            cols,
-            child,
-            candidates,
-            empty_score,
-            delta,
-            &mut stats,
-        )
-        .map_err(wrap)?,
-    };
-
-    Ok(NodeSearchResult {
-        parents,
-        score: final_score,
-        candidates: candidates.to_vec(),
-        stats,
-        cache_stats: scratch.cache.stats(),
-    })
+) -> Result<(NodeSearchResult, Option<JointTable>), SearchError> {
+    if candidates.len() > MAX_TABLE_CANDIDATES {
+        return Ok((
+            find_parents_from(cols, cache, child, candidates, params)?,
+            None,
+        ));
+    }
+    let table = JointTable::from_cols(cols, child, candidates)
+        .map_err(|source| SearchError { child, source })?;
+    lattice.fill(&table);
+    let res = find_parents_from(&*lattice, cache, child, candidates, params)?;
+    Ok((res, Some(table)))
 }
 
-/// The pre-workspace implementation of [`find_parents`], counting every
-/// evaluation from scratch through a [`CountSource`] and no score cache.
+/// The parent-search driver: enumeration, then the `params.strategy`
+/// expansion, scoring every subset from `source` through `cache` (reset
+/// here, so one cache serves many nodes in turn). `parents`, `score`,
+/// [`SearchStats`] and cache counters are pure functions of the counts,
+/// so any two sources with the same integers give the same result bit for
+/// bit — a [`Lattice`] over a merged append table replays the combined
+/// run's search exactly.
 ///
-/// Kept as the equivalence oracle for the incremental path (results must
-/// stay bit-identical) and as the baseline the benchmarks compare against.
-/// Generic over the count source so the same driver that oracles the
-/// workspace path also *replays* a persisted [`JointTable`] during
-/// incremental re-estimation: `parents`, `score`, and all [`SearchStats`]
-/// counters are pure functions of the counts, so a table that marginalizes
-/// to the columns' integers reproduces the search bit-for-bit
-/// (`cache_stats` stay zero on this cacheless path).
-pub fn find_parents_reference<C: CountSource + ?Sized>(
-    cols: &C,
+/// # Errors
+///
+/// As [`find_parents`].
+pub fn find_parents_from<C: CountSource + ?Sized>(
+    source: &C,
+    cache: &mut ScoreCache,
     child: NodeId,
     candidates: &[NodeId],
     params: &SearchParams,
 ) -> Result<NodeSearchResult, SearchError> {
     let wrap = |source: ComboSizeError| SearchError { child, source };
-    let beta = cols.num_processes() as u64;
-    let n2 = cols.ones(child);
-    let delta = score::delta(beta, beta - n2, n2);
-
-    let mut stats = SearchStats::default();
-    let empty_counts = cols.combo_counts(child, &[]).map_err(wrap)?;
-    stats.evaluations += 1;
-    let empty_score = score::local_score(&empty_counts);
-
+    let beta = source.num_processes() as u64;
+    let n2 = source.ones(child);
+    cache.reset();
+    let mut scorer = Scorer {
+        source,
+        cache,
+        child,
+        candidates,
+        delta: score::delta(beta, beta - n2, n2),
+        stats: SearchStats::default(),
+    };
+    let empty_score = scorer.eval(&[]).map_err(wrap)?.score;
     let mut combos = Vec::new();
-    let mut stack: Vec<NodeId> = Vec::new();
-    enumerate_rec_reference(
-        cols,
-        child,
-        candidates,
-        0,
-        params.max_combo_size.max(1),
-        delta,
-        &mut stack,
-        &mut combos,
-        &mut stats,
-    )
+    scorer
+        .enumerate(
+            0,
+            params.max_combo_size.max(1),
+            &mut Vec::new(),
+            &mut combos,
+        )
+        .map_err(wrap)?;
+    let (parents, score) = match params.strategy {
+        GreedyStrategy::BestImprovement => scorer.best_improvement(combos, empty_score),
+        GreedyStrategy::ScoreOrdered => scorer.score_ordered(combos, empty_score),
+        GreedyStrategy::Exhaustive => scorer.exhaustive(empty_score),
+    }
     .map_err(wrap)?;
-
-    let (parents, final_score) = match params.strategy {
-        GreedyStrategy::BestImprovement => {
-            greedy_best_improvement_reference(cols, child, combos, empty_score, delta, &mut stats)
-                .map_err(wrap)?
-        }
-        GreedyStrategy::ScoreOrdered => {
-            combos.sort_by(|a, b| b.score.partial_cmp(&a.score).expect("no NaNs"));
-            greedy_score_ordered_reference(cols, child, &combos, empty_score, delta, &mut stats)
-                .map_err(wrap)?
-        }
-        GreedyStrategy::Exhaustive => {
-            exhaustive_search_reference(cols, child, candidates, empty_score, delta, &mut stats)
-                .map_err(wrap)?
-        }
-    };
-
     Ok(NodeSearchResult {
         parents,
-        score: final_score,
+        score,
         candidates: candidates.to_vec(),
-        stats,
-        cache_stats: ScoreCacheStats::default(),
+        stats: scorer.stats,
+        cache_stats: scorer.cache.stats(),
     })
-}
-
-#[allow(clippy::too_many_arguments)]
-fn enumerate_rec_reference<C: CountSource + ?Sized>(
-    cols: &C,
-    child: NodeId,
-    candidates: &[NodeId],
-    start: usize,
-    max_size: usize,
-    delta: f64,
-    stack: &mut Vec<NodeId>,
-    out: &mut Vec<Combo>,
-    stats: &mut SearchStats,
-) -> Result<(), ComboSizeError> {
-    for idx in start..candidates.len() {
-        stack.push(candidates[idx]);
-        let mut w: Vec<NodeId> = stack.clone();
-        w.sort_unstable();
-        let counts = cols.combo_counts(child, &w)?;
-        stats.evaluations += 1;
-        if score::within_bound(w.len(), score::phi(&counts), delta) {
-            out.push(Combo {
-                nodes: w,
-                score: score::local_score(&counts),
-            });
-        } else {
-            stats.bound_rejections += 1;
-        }
-        if stack.len() < max_size {
-            enumerate_rec_reference(
-                cols,
-                child,
-                candidates,
-                idx + 1,
-                max_size,
-                delta,
-                stack,
-                out,
-                stats,
-            )?;
-        }
-        stack.pop();
-    }
-    Ok(())
-}
-
-/// The part of `w` not already in the sorted set `f`, preserving `w`'s
-/// (sorted) order — the extension the workspace refines along. Empty iff
-/// `w ⊆ f`.
-fn extension_into(f: &[NodeId], w: &[NodeId], extra: &mut Vec<NodeId>) {
-    extra.clear();
-    extra.extend(w.iter().filter(|p| f.binary_search(p).is_err()));
-}
-
-/// How a combination's evaluation is obtained within one batched greedy
-/// round (see [`greedy_best_improvement`]).
-enum RoundEval {
-    /// Scored already: a cache hit, or a multi-node extension evaluated
-    /// through the ordinary incremental path during classification.
-    Ready(CachedScore),
-    /// A novel single-node extension: entry `t` of the round's batched
-    /// workspace pass.
-    Batched(usize),
-    /// Same cache key as an extension already in the batch; resolved from
-    /// the cache after the flush, so the hit/miss split matches the
-    /// sequential order (first occurrence misses, later ones hit).
-    Dup(u64),
-}
-
-/// §IV-A greedy: each round, evaluate `g(v_i, F ∪ W)` for every remaining
-/// admissible combination and take the best strict improvement.
-///
-/// The round's parent set `F` is instantiated in the workspace once and
-/// combinations are scored in two passes. Pass one classifies each
-/// combination in order: unions already memoized come straight from the
-/// score cache, multi-node extensions refine the workspace immediately,
-/// and every novel single-node extension — the overwhelmingly common case,
-/// since `W \ F` shrinks as `F` grows — is queued. The queue is then
-/// flushed through [`CountsWorkspace::refined_counts_single_batch`], which
-/// streams the cached base partition **once** for the whole batch instead
-/// of copy-refine-tabulating per combination. Pass two replays the
-/// sequential acceptance logic in combination order on the collected
-/// evaluations.
-///
-/// Scores, `SearchStats`, score-cache hit/miss totals, and workspace
-/// refinement counts are all bit-identical to the sequential path (and so
-/// to [`find_parents_reference`]) — the reference-oracle test pins this.
-#[allow(clippy::too_many_arguments)]
-fn greedy_best_improvement(
-    scratch: &mut SearchScratch,
-    cols: &NodeColumns,
-    child: NodeId,
-    candidates: &[NodeId],
-    mut combos: Vec<Combo>,
-    empty_score: f64,
-    delta: f64,
-    stats: &mut SearchStats,
-) -> Result<(Vec<NodeId>, f64), ComboSizeError> {
-    const EPS: f64 = 1e-9;
-    let SearchScratch { ws, cache } = scratch;
-    let cache_on = candidates.len() <= 64;
-    let mut f: Vec<NodeId> = Vec::new();
-    let mut mask_f = 0u64;
-    let mut current = empty_score;
-    let mut extra: Vec<NodeId> = Vec::new();
-
-    while !combos.is_empty() {
-        stats.greedy_rounds += 1;
-        ws.set_base(cols, &f)?;
-        let mut best: Option<(usize, f64)> = None;
-        let mut keep = vec![true; combos.len()];
-
-        // Pass 1: classify. `pending` records (combo index, |F ∪ W|, how
-        // to obtain the evaluation).
-        let mut pending: Vec<(usize, usize, RoundEval)> = Vec::new();
-        let mut batch_nodes: Vec<NodeId> = Vec::new();
-        let mut batch_keys: Vec<Option<u64>> = Vec::new();
-        for (idx, combo) in combos.iter().enumerate() {
-            extension_into(&f, &combo.nodes, &mut extra);
-            if extra.is_empty() {
-                // W ⊆ F already: it can never change the score again.
-                keep[idx] = false;
-                continue;
-            }
-            if f.len() + extra.len() > MAX_PARENTS {
-                continue;
-            }
-            let key = cache_on.then(|| mask_f | subset_mask(&extra, candidates));
-            let state = match key {
-                Some(k) => {
-                    if let Some(cached) = cache.get(k) {
-                        RoundEval::Ready(cached)
-                    } else if extra.len() == 1 {
-                        if batch_keys.contains(&Some(k)) {
-                            RoundEval::Dup(k)
-                        } else {
-                            batch_nodes.push(extra[0]);
-                            batch_keys.push(Some(k));
-                            RoundEval::Batched(batch_nodes.len() - 1)
-                        }
-                    } else {
-                        let counts = ws.refined_counts(cols, child, &extra)?;
-                        let value = CachedScore {
-                            score: score::local_score(counts),
-                            phi: score::phi(counts),
-                        };
-                        cache.insert(k, value);
-                        RoundEval::Ready(value)
-                    }
-                }
-                None if extra.len() == 1 => {
-                    // Cache off: batch every single, duplicates included —
-                    // the sequential path would recount each one too.
-                    batch_nodes.push(extra[0]);
-                    batch_keys.push(None);
-                    RoundEval::Batched(batch_nodes.len() - 1)
-                }
-                None => {
-                    let counts = ws.refined_counts(cols, child, &extra)?;
-                    RoundEval::Ready(CachedScore {
-                        score: score::local_score(counts),
-                        phi: score::phi(counts),
-                    })
-                }
-            };
-            pending.push((idx, f.len() + extra.len(), state));
-        }
-
-        // Flush: one streaming pass over the base partition scores every
-        // queued single-node extension.
-        let mut batch_evals: Vec<CachedScore> = Vec::with_capacity(batch_nodes.len());
-        ws.refined_counts_single_batch(cols, child, &batch_nodes, |t, counts| {
-            let value = CachedScore {
-                score: score::local_score(counts),
-                phi: score::phi(counts),
-            };
-            if let Some(k) = batch_keys[t] {
-                cache.insert(k, value);
-            }
-            batch_evals.push(value);
-        });
-
-        // Pass 2: the sequential acceptance logic, in combination order.
-        for (idx, union_len, state) in pending {
-            let eval = match state {
-                RoundEval::Ready(value) => value,
-                RoundEval::Batched(t) => batch_evals[t],
-                RoundEval::Dup(k) => cache.get(k).expect("batched twin was inserted at flush"),
-            };
-            stats.evaluations += 1;
-            if !score::within_bound(union_len, eval.phi, delta) {
-                stats.bound_rejections += 1;
-                continue;
-            }
-            if eval.score > current + EPS && best.is_none_or(|(_, bs)| eval.score > bs) {
-                best = Some((idx, eval.score));
-            }
-        }
-
-        match best {
-            Some((idx, s)) => {
-                if cache_on {
-                    mask_f |= subset_mask(&combos[idx].nodes, candidates);
-                }
-                f = union(&f, &combos[idx].nodes);
-                current = s;
-                keep[idx] = false;
-                let mut it = keep.iter();
-                combos.retain(|_| *it.next().expect("keep covers combos"));
-            }
-            None => break,
-        }
-    }
-    Ok((f, current))
-}
-
-/// The reference counterpart of [`greedy_best_improvement`], recounting
-/// every union from scratch.
-fn greedy_best_improvement_reference<C: CountSource + ?Sized>(
-    cols: &C,
-    child: NodeId,
-    mut combos: Vec<Combo>,
-    empty_score: f64,
-    delta: f64,
-    stats: &mut SearchStats,
-) -> Result<(Vec<NodeId>, f64), ComboSizeError> {
-    const EPS: f64 = 1e-9;
-    let mut f: Vec<NodeId> = Vec::new();
-    let mut current = empty_score;
-
-    while !combos.is_empty() {
-        stats.greedy_rounds += 1;
-        let mut best: Option<(usize, Vec<NodeId>, f64)> = None;
-        let mut keep = vec![true; combos.len()];
-        for (idx, combo) in combos.iter().enumerate() {
-            let u = union(&f, &combo.nodes);
-            if u.len() == f.len() {
-                keep[idx] = false;
-                continue;
-            }
-            if u.len() > MAX_PARENTS {
-                continue;
-            }
-            let counts = cols.combo_counts(child, &u)?;
-            stats.evaluations += 1;
-            if !score::within_bound(u.len(), score::phi(&counts), delta) {
-                stats.bound_rejections += 1;
-                continue;
-            }
-            let s = score::local_score(&counts);
-            if s > current + EPS && best.as_ref().is_none_or(|&(_, _, bs)| s > bs) {
-                best = Some((idx, u, s));
-            }
-        }
-        match best {
-            Some((idx, u, s)) => {
-                f = u;
-                current = s;
-                keep[idx] = false;
-                let mut it = keep.iter();
-                combos.retain(|_| *it.next().expect("keep covers combos"));
-            }
-            None => break,
-        }
-    }
-    Ok((f, current))
-}
-
-/// Literal Algorithm-1 greedy: pop combinations in descending standalone
-/// score; union in each one whose union satisfies the Theorem-2 bound.
-#[allow(clippy::too_many_arguments)]
-fn greedy_score_ordered(
-    scratch: &mut SearchScratch,
-    cols: &NodeColumns,
-    child: NodeId,
-    candidates: &[NodeId],
-    combos_sorted: &[Combo],
-    empty_score: f64,
-    delta: f64,
-    stats: &mut SearchStats,
-) -> Result<(Vec<NodeId>, f64), ComboSizeError> {
-    let cache_on = candidates.len() <= 64;
-    let mut f: Vec<NodeId> = Vec::new();
-    let mut mask_f = 0u64;
-    let mut current = empty_score;
-    let mut extra: Vec<NodeId> = Vec::new();
-    scratch.ws.set_base(cols, &f)?;
-    for combo in combos_sorted {
-        extension_into(&f, &combo.nodes, &mut extra);
-        if extra.is_empty() || f.len() + extra.len() > MAX_PARENTS {
-            continue;
-        }
-        let key = cache_on.then(|| mask_f | subset_mask(&extra, candidates));
-        let eval = eval_cached(
-            &mut scratch.cache,
-            &mut scratch.ws,
-            cols,
-            child,
-            &extra,
-            key,
-        )?;
-        stats.evaluations += 1;
-        if score::within_bound(f.len() + extra.len(), eval.phi, delta) {
-            stats.greedy_rounds += 1;
-            if cache_on {
-                mask_f |= subset_mask(&combo.nodes, candidates);
-            }
-            f = union(&f, &combo.nodes);
-            current = eval.score;
-            scratch.ws.set_base(cols, &f)?;
-        } else {
-            stats.bound_rejections += 1;
-        }
-    }
-    Ok((f, current))
-}
-
-/// The reference counterpart of [`greedy_score_ordered`].
-fn greedy_score_ordered_reference<C: CountSource + ?Sized>(
-    cols: &C,
-    child: NodeId,
-    combos_sorted: &[Combo],
-    empty_score: f64,
-    delta: f64,
-    stats: &mut SearchStats,
-) -> Result<(Vec<NodeId>, f64), ComboSizeError> {
-    let mut f: Vec<NodeId> = Vec::new();
-    let mut current = empty_score;
-    for combo in combos_sorted {
-        let u = union(&f, &combo.nodes);
-        if u.len() == f.len() || u.len() > MAX_PARENTS {
-            continue;
-        }
-        let counts = cols.combo_counts(child, &u)?;
-        stats.evaluations += 1;
-        if score::within_bound(u.len(), score::phi(&counts), delta) {
-            stats.greedy_rounds += 1;
-            f = u;
-            current = score::local_score(&counts);
-        } else {
-            stats.bound_rejections += 1;
-        }
-    }
-    Ok((f, current))
-}
-
-/// Exhaustive maximization of the local score over all admissible subsets
-/// of the candidate set.
-///
-/// Subsets larger than [`MAX_PARENTS`] or violating the Theorem-2 bound
-/// are skipped. With `c` candidates this evaluates up to `2^c` subsets;
-/// candidate sets beyond [`MAX_EXHAUSTIVE_CANDIDATES`] are rejected as a
-/// typed error. Subsets already scored during enumeration (every `W` with
-/// `|W| ≤ max_combo_size`) come straight from the score cache.
-fn exhaustive_search(
-    scratch: &mut SearchScratch,
-    cols: &NodeColumns,
-    child: NodeId,
-    candidates: &[NodeId],
-    empty_score: f64,
-    delta: f64,
-    stats: &mut SearchStats,
-) -> Result<(Vec<NodeId>, f64), ComboSizeError> {
-    let c = candidates.len();
-    if c > MAX_EXHAUSTIVE_CANDIDATES {
-        return Err(ComboSizeError { parents: c });
-    }
-    scratch.ws.set_base(cols, &[])?;
-    let mut best: (Vec<NodeId>, f64) = (Vec::new(), empty_score);
-    let mut subset: Vec<NodeId> = Vec::new();
-    for mask in 1u32..(1u32 << c) {
-        if (mask.count_ones() as usize) > MAX_PARENTS {
-            continue;
-        }
-        subset.clear();
-        subset.extend(
-            (0..c)
-                .filter(|&t| mask & (1 << t) != 0)
-                .map(|t| candidates[t]),
-        );
-        subset.sort_unstable();
-        // The loop mask is exactly the candidate-subset bitmask the cache
-        // keys on (bit `t` ⇔ `candidates[t]`).
-        let eval = eval_cached(
-            &mut scratch.cache,
-            &mut scratch.ws,
-            cols,
-            child,
-            &subset,
-            Some(mask as u64),
-        )?;
-        stats.evaluations += 1;
-        if !score::within_bound(subset.len(), eval.phi, delta) {
-            stats.bound_rejections += 1;
-            continue;
-        }
-        if eval.score > best.1 {
-            best = (subset.clone(), eval.score);
-        }
-    }
-    Ok(best)
-}
-
-/// The reference counterpart of [`exhaustive_search`].
-fn exhaustive_search_reference<C: CountSource + ?Sized>(
-    cols: &C,
-    child: NodeId,
-    candidates: &[NodeId],
-    empty_score: f64,
-    delta: f64,
-    stats: &mut SearchStats,
-) -> Result<(Vec<NodeId>, f64), ComboSizeError> {
-    let c = candidates.len();
-    if c > MAX_EXHAUSTIVE_CANDIDATES {
-        return Err(ComboSizeError { parents: c });
-    }
-    let mut best: (Vec<NodeId>, f64) = (Vec::new(), empty_score);
-    for mask in 1u32..(1u32 << c) {
-        if (mask.count_ones() as usize) > MAX_PARENTS {
-            continue;
-        }
-        let mut subset: Vec<NodeId> = (0..c)
-            .filter(|&t| mask & (1 << t) != 0)
-            .map(|t| candidates[t])
-            .collect();
-        subset.sort_unstable();
-        let counts = cols.combo_counts(child, &subset)?;
-        stats.evaluations += 1;
-        if !score::within_bound(subset.len(), score::phi(&counts), delta) {
-            stats.bound_rejections += 1;
-            continue;
-        }
-        let s = score::local_score(&counts);
-        if s > best.1 {
-            best = (subset, s);
-        }
-    }
-    Ok(best)
 }
 
 #[cfg(test)]
@@ -1470,47 +1039,42 @@ mod tests {
     }
 
     #[test]
-    fn workspace_path_matches_reference_for_all_strategies() {
-        // The contract of the incremental counting engine and the score
-        // cache: every strategy must produce bit-identical results
-        // (parents, scores, and every SearchStats counter) to the
-        // from-scratch, cacheless reference implementation.
+    fn lattice_and_column_sources_agree_for_all_strategies() {
+        // The one driver over either count source: parents, score bits,
+        // every SearchStats counter and the cache split must not depend on
+        // where the N_ijk tables come from.
         let m = or_gate_matrix();
         let cols = m.columns();
-        let mut scratch = SearchScratch::new();
+        let mut lattice = Lattice::default();
+        let mut cache = ScoreCache::new();
         for strategy in [
             GreedyStrategy::BestImprovement,
             GreedyStrategy::ScoreOrdered,
             GreedyStrategy::Exhaustive,
         ] {
             for child in 0..4u32 {
-                let candidates: Vec<NodeId> = (0..4u32).filter(|&c| c != child).collect();
+                let candidates: Vec<NodeId> = (0..4u32).rev().filter(|&c| c != child).collect();
+                lattice.fill(&JointTable::from_cols(&cols, child, &candidates).expect("fits"));
                 for max_combo_size in [1, 2, 3] {
                     let params = SearchParams {
                         strategy,
                         max_combo_size,
                         ..Default::default()
                     };
-                    let new = find_parents_with(&mut scratch, &cols, child, &candidates, &params)
+                    let table =
+                        find_parents_from(&lattice, &mut cache, child, &candidates, &params)
+                            .expect("fits");
+                    let direct = find_parents_from(&cols, &mut cache, child, &candidates, &params)
                         .expect("fits");
-                    let old =
-                        find_parents_reference(&cols, child, &candidates, &params).expect("fits");
-                    assert_eq!(new.parents, old.parents, "{strategy:?} child {child}");
+                    assert_eq!(table.parents, direct.parents, "{strategy:?} child {child}");
                     assert_eq!(
-                        new.score.to_bits(),
-                        old.score.to_bits(),
+                        table.score.to_bits(),
+                        direct.score.to_bits(),
                         "{strategy:?} child {child}: scores must be bit-identical"
                     );
-                    assert_eq!(
-                        new.stats, old.stats,
-                        "{strategy:?} child {child}: all search counters must match"
-                    );
-                    assert_eq!(new.candidates, old.candidates);
-                    assert_eq!(
-                        old.cache_stats,
-                        ScoreCacheStats::default(),
-                        "reference path must not touch a cache"
-                    );
+                    assert_eq!(table.stats, direct.stats, "{strategy:?} child {child}");
+                    assert_eq!(table.cache_stats, direct.cache_stats);
+                    assert_eq!(table.candidates, direct.candidates);
                 }
             }
         }
@@ -1576,19 +1140,6 @@ mod tests {
         assert_eq!(err.child, 39);
         assert_eq!(err.source.parents, 26);
         assert!(err.to_string().contains("node 39"));
-        // Reference path agrees.
-        let ref_err = find_parents_reference(
-            &cols,
-            39,
-            &candidates,
-            &SearchParams {
-                max_combo_size: 30,
-                max_candidates: 30,
-                ..Default::default()
-            },
-        )
-        .unwrap_err();
-        assert_eq!(ref_err, err);
         // Exhaustive path: the candidate set itself is too large.
         let ex_err = find_parents(
             &cols,
@@ -1637,20 +1188,22 @@ mod tests {
     }
 
     #[test]
-    fn joint_table_marginalizes_to_direct_counts() {
+    fn lattice_marginalizes_to_direct_counts() {
         let m = or_gate_matrix();
         let cols = m.columns();
         let table = JointTable::from_cols(&cols, 2, &[3, 0, 1]).expect("fits");
         assert_eq!(table.candidates(), &[0, 1, 3], "keyed on the sorted set");
-        assert_eq!(CountSource::num_processes(&table), 160);
-        assert_eq!(CountSource::ones(&table, 2), cols.ones(2));
+        let mut lattice = Lattice::default();
+        lattice.fill(&table);
+        assert_eq!(CountSource::num_processes(&lattice), 160);
+        assert_eq!(CountSource::ones(&lattice, 2), cols.ones(2));
         // Every subset of the candidate set marginalizes to the integers
         // the column kernel counts, including the empty set.
         let subsets: &[&[NodeId]] = &[&[], &[0], &[1], &[3], &[0, 1], &[0, 3], &[1, 3], &[0, 1, 3]];
         for &s in subsets {
             assert_eq!(
-                CountSource::combo_counts(&table, 2, s).unwrap(),
-                cols.combo_counts(2, s).unwrap(),
+                CountSource::combo_counts(&lattice, 2, s).unwrap().as_ref(),
+                cols.combo_counts(2, s).unwrap().as_slice(),
                 "subset {s:?}"
             );
         }
@@ -1659,8 +1212,8 @@ mod tests {
     #[test]
     fn merged_joint_tables_replay_the_combined_search_bit_identically() {
         // Split the OR-gate processes into base and appended halves; the
-        // merged per-half tables must drive the reference search to the
-        // same result as the workspace search over the combined columns.
+        // lattice of the merged per-half tables must drive the search to
+        // the same result as a search over the combined columns.
         let m = or_gate_matrix();
         let all: Vec<Vec<bool>> = (0..160)
             .map(|l| (0..4).map(|v| m.get(l, v)).collect())
@@ -1688,18 +1241,29 @@ mod tests {
                 strategy,
                 ..SearchParams::default()
             };
-            let mut scratch = SearchScratch::new();
-            let ws = find_parents_with(&mut scratch, &cols, 2, &ranked, &params).unwrap();
-            let replay = find_parents_reference(&table, 2, &ranked, &params).unwrap();
-            assert_eq!(replay.parents, ws.parents, "{strategy:?}");
+            let mut lattice = Lattice::default();
+            lattice.fill(&table);
+            let fresh = find_parents(&cols, 2, &ranked, &params).unwrap();
+            let replay =
+                find_parents_from(&lattice, &mut ScoreCache::new(), 2, &ranked, &params).unwrap();
+            assert_eq!(replay.parents, fresh.parents, "{strategy:?}");
             assert_eq!(
                 replay.score.to_bits(),
-                ws.score.to_bits(),
+                fresh.score.to_bits(),
                 "{strategy:?} score must be bit-identical"
             );
-            assert_eq!(replay.stats, ws.stats, "{strategy:?}");
-            assert_eq!(replay.candidates, ws.candidates);
+            assert_eq!(replay.stats, fresh.stats, "{strategy:?}");
+            assert_eq!(replay.cache_stats, fresh.cache_stats, "{strategy:?}");
+            assert_eq!(replay.candidates, fresh.candidates);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds")]
+    fn lattice_refuses_tables_over_the_limit() {
+        let candidates: Vec<NodeId> = (0..11).collect();
+        let table = JointTable::from_parts(11, candidates, vec![[0, 0]; 1 << 11]).unwrap();
+        Lattice::default().fill(&table);
     }
 
     #[test]
@@ -1713,14 +1277,5 @@ mod tests {
             JointTable::from_parts(2, vec![0, 1], vec![[1, 0]; 3]).is_err(),
             "wrong cell count"
         );
-    }
-
-    #[test]
-    fn subset_mask_uses_candidate_positions() {
-        let candidates = [7u32, 3, 9, 1];
-        assert_eq!(subset_mask(&[], &candidates), 0);
-        assert_eq!(subset_mask(&[7], &candidates), 0b0001);
-        assert_eq!(subset_mask(&[1, 9], &candidates), 0b1100);
-        assert_eq!(subset_mask(&[3, 7, 1, 9], &candidates), 0b1111);
     }
 }

@@ -330,9 +330,10 @@ pub struct FoldOutcome {
 /// column range touches the shard; every pair is scored by the same
 /// kernel in the same order, so for the full shard the surviving
 /// candidate sets are bit-identical to thresholding the dense matrix.
-/// Each pool worker folds into its own partial [`SparseCandidates`]
-/// (memory: `threads · shard.len() · O(max_candidates)` entries), merged
-/// after the scan — deterministic because bounded top-k is
+/// Each pool worker folds into its own partial [`SparseCandidates`],
+/// merged after the scan into one more while the partials are still
+/// alive (memory: `(threads + 1) · shard.len() · O(max_candidates)`
+/// entries) — deterministic because bounded top-k is
 /// grouping-independent.
 pub fn fold_candidates(
     cols: &NodeColumns,
@@ -422,14 +423,15 @@ pub(crate) fn fold_dense(
 /// rejects a budget — it just sizes the τ sample with it).
 ///
 /// Sum of the resident pieces: the column bitsets
-/// (`n · ⌈β/64⌉ · 8`), the per-worker sparse accumulators
-/// (`threads · shard_len · (2·max_candidates + 16) · 16` bytes of
-/// `(f64, NodeId)` entries plus one counter per node), the τ sample
-/// buffer (`cap · 8`, doubled for the 2-means' sorted tail and its
-/// suffix sums — the values above its bound, all of them only in its
-/// guarded full-sort fallback), and per-worker tile scratch. Deliberately a loose over-estimate — sized so staying
-/// under it keeps actual peak RSS under the budget with room for the
-/// allocator.
+/// (`n · ⌈β/64⌉ · 8`); the sparse accumulators, one per worker plus the
+/// one [`fold_candidates`] merges them into while they are all still
+/// alive (`(threads + 1) · shard_len · (2·max_candidates + 16) · 16`
+/// bytes of `(f64, NodeId)` entries plus one counter per node); the τ
+/// sample at 24 bytes per value — the sample, its sorted copy and the
+/// suffix sums the 2-means' guarded full-sort fallback holds at once;
+/// and per-worker tile scratch. Deliberately a loose over-estimate —
+/// sized so staying under it keeps actual peak RSS under the budget
+/// with room for the allocator.
 pub fn estimate_streamed_bytes(
     n: usize,
     beta: usize,
@@ -441,9 +443,9 @@ pub fn estimate_streamed_bytes(
     let columns = (n as u64) * (beta.div_ceil(64).max(1) as u64) * 8;
     let workers = threads.max(1) as u64;
     let per_node = (2 * max_candidates + 16) as u64 * 16 + 8 + 24;
-    let accumulators = workers * shard_len as u64 * per_node;
+    let accumulators = (workers + 1) * shard_len as u64 * per_node;
     let total_pairs = (n as u64) * (n as u64).saturating_sub(1) / 2;
-    let sample = 2 * 8 * tau_sample_cap(total_pairs.max(1), memory_budget);
+    let sample = 3 * 8 * tau_sample_cap(total_pairs.max(1), memory_budget);
     let scratch = workers * 64 * 1024;
     columns + accumulators + sample + scratch
 }
@@ -611,6 +613,20 @@ mod tests {
     fn estimate_includes_every_component() {
         let est = estimate_streamed_bytes(1000, 150, 1000, 4, 8, Some(1 << 30));
         assert!(est > 1000 * 3 * 8, "columns term missing: {est}");
+        // Five accumulators for four workers (the merge target is alive
+        // beside them), and 24 bytes per τ-sample value (sample, sorted
+        // copy, suffix sums).
+        let per_node = (2 * 8 + 16) * 16 + 8 + 24;
+        let cap = tau_sample_cap(1000 * 999 / 2, Some(1 << 30));
+        assert!(
+            est >= 1000 * 3 * 8 + 5 * 1000 * per_node + 24 * cap,
+            "merge accumulator or sort fallback missing: {est}"
+        );
+        let one_thread = estimate_streamed_bytes(1000, 150, 1000, 1, 8, Some(1 << 30));
+        assert!(
+            one_thread >= 2 * 1000 * per_node + 24 * cap,
+            "a single worker still merges into a second accumulator: {one_thread}"
+        );
         let sharded = estimate_streamed_bytes(1000, 150, 100, 4, 8, Some(1 << 30));
         assert!(sharded < est, "smaller shard must shrink the estimate");
     }

@@ -1,14 +1,21 @@
 //! Property-based tests for checkpoint/resume: resuming from *any*
 //! prefix of a checkpoint, at any thread count, must reproduce the
 //! uninterrupted run bit for bit; corrupting the persisted artifacts in
-//! arbitrary ways must yield typed errors, never panics.
+//! arbitrary ways must yield typed errors, never panics. The parent-search
+//! driver must give the same result over a node's joint-table lattice as
+//! over its columns.
 
 use std::path::PathBuf;
 
-use diffnet_graph::DiGraph;
+use diffnet_graph::{DiGraph, NodeId};
 use diffnet_observe::{Recorder, RunReport};
 use diffnet_simulate::{EdgeProbs, IcConfig, IndependentCascade, StatusMatrix};
-use diffnet_tends::{Checkpoint, CheckpointError, RobustOptions, Tends, TendsConfig};
+use diffnet_tends::score::ScoreCache;
+use diffnet_tends::search::find_parents_from;
+use diffnet_tends::{
+    Checkpoint, CheckpointError, GreedyStrategy, JointTable, Lattice, RobustOptions, SearchParams,
+    Tends, TendsConfig,
+};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -366,5 +373,92 @@ proptest! {
             }
         }
         std::fs::remove_file(&path).ok();
+    }
+}
+
+/// A `β × (k + 1)` matrix of seeded random statuses in which the columns
+/// flagged in `constant` are all-zero or all-one (by `ones`), so
+/// degenerate candidates and children are in play.
+fn lattice_matrix(beta: usize, k: usize, seed: u64, constant: u16, ones: u16) -> StatusMatrix {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let rows: Vec<Vec<bool>> = (0..beta)
+        .map(|_| {
+            (0..=k)
+                .map(|i| match constant >> i & 1 {
+                    1 => ones >> i & 1 == 1,
+                    _ => rand::Rng::gen_bool(&mut rng, 0.4),
+                })
+                .collect()
+        })
+        .collect();
+    StatusMatrix::from_rows(&rows)
+}
+
+/// Node 0's candidates 1..=k in a seed-dependent ranked order (rotated),
+/// so ranked and id-sorted order differ.
+fn ranked_candidates(k: usize, seed: u64) -> Vec<NodeId> {
+    let mut c: Vec<NodeId> = (1..=k as NodeId).collect();
+    c.rotate_left((seed as usize) % k.max(1));
+    c
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    // The one search driver gives the same answer over a node's lattice
+    // as over its columns: parents, score bits, every effort counter and
+    // the score-cache split, for every strategy and k up to the table
+    // limit. β is never a multiple of 64.
+    #[test]
+    fn lattice_driver_matches_column_driver(
+        k in 0usize..=10,
+        beta in (1usize..200).prop_map(|b| b + usize::from(b % 64 == 0)),
+        seed in 0u64..1000,
+        constant in any::<u16>(),
+        ones in any::<u16>(),
+    ) {
+        let m = lattice_matrix(beta, k, seed, constant, ones);
+        let cols = m.columns();
+        let candidates = ranked_candidates(k, seed);
+        let mut lattice = Lattice::default();
+        lattice.fill(&JointTable::from_cols(&cols, 0, &candidates).expect("tabulable"));
+        let mut cache = ScoreCache::new();
+        for strategy in [
+            GreedyStrategy::BestImprovement,
+            GreedyStrategy::ScoreOrdered,
+            GreedyStrategy::Exhaustive,
+        ] {
+            for max_combo_size in [1, 2, 3] {
+                let params = SearchParams { strategy, max_combo_size, max_candidates: k };
+                let a = find_parents_from(&lattice, &mut cache, 0, &candidates, &params)
+                    .expect("fits");
+                let b = find_parents_from(&cols, &mut cache, 0, &candidates, &params)
+                    .expect("fits");
+                prop_assert_eq!(&a.parents, &b.parents, "{:?}", strategy);
+                prop_assert_eq!(a.score.to_bits(), b.score.to_bits(), "{:?}", strategy);
+                prop_assert_eq!(a.stats, b.stats, "{:?}", strategy);
+                prop_assert_eq!(a.cache_stats, b.cache_stats, "{:?}", strategy);
+            }
+        }
+    }
+
+    // Every one of the 3^k lattice cells is the column kernel's count.
+    #[test]
+    fn lattice_marginals_match_column_counts(
+        k in 0usize..=10,
+        beta in (1usize..200).prop_map(|b| b + usize::from(b % 64 == 0)),
+        seed in 0u64..1000,
+        constant in any::<u16>(),
+        ones in any::<u16>(),
+    ) {
+        let m = lattice_matrix(beta, k, seed, constant, ones);
+        let cols = m.columns();
+        let mut lattice = Lattice::default();
+        lattice.fill(&JointTable::from_cols(&cols, 0, &ranked_candidates(k, seed)).expect("tabulable"));
+        for mask in 0..1usize << k {
+            let subset: Vec<NodeId> = (0..k).filter(|t| mask >> t & 1 == 1).map(|t| t as NodeId + 1).collect();
+            let want = cols.combo_counts(0, &subset).expect("tabulable");
+            prop_assert_eq!(lattice.marginal(mask), want.as_slice(), "subset {:?}", subset);
+        }
     }
 }

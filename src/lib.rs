@@ -75,8 +75,7 @@ pub mod prelude {
     pub use diffnet_metrics::{timed, EdgeSetComparison, Stopwatch};
     pub use diffnet_observe::{Recorder, RunReport};
     pub use diffnet_simulate::{
-        CountsWorkspace, DiffusionRecord, EdgeProbs, IcConfig, IndependentCascade, ObservationSet,
-        StatusMatrix,
+        DiffusionRecord, EdgeProbs, IcConfig, IndependentCascade, ObservationSet, StatusMatrix,
     };
     pub use diffnet_tends::{
         CorrelationMeasure, GreedyStrategy, SearchParams, Tends, TendsConfig, TendsResult,

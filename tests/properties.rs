@@ -3,7 +3,7 @@
 //! graphs rather than hand-picked cases.
 
 use diffnet::prelude::*;
-use diffnet::tends::score;
+use diffnet::tends::{score, JointTable, Lattice};
 use proptest::prelude::*;
 
 /// Strategy: a random status matrix with β processes over n nodes.
@@ -47,32 +47,24 @@ proptest! {
         );
     }
 
-    // The incremental workspace kernel agrees with the naive row-scan
-    // kernel for every split of a random parent set into a cached base and
-    // a refinement extension.
+    // Every subset marginal of a node's joint-table lattice agrees with
+    // the naive row-scan kernel over that subset.
     #[test]
-    fn workspace_counts_match_naive_kernel(
-        m in status_matrix(1..80, 3..12),
-        base_mask in 0u32..256,
-        extra_mask in 0u32..256,
-    ) {
+    fn lattice_marginals_match_naive_kernel(m in status_matrix(1..80, 2..9)) {
         let n = m.num_nodes() as u32;
         let child = 0u32;
-        let base: Vec<NodeId> =
-            (1..n).filter(|p| base_mask & (1 << (p % 8)) != 0).take(3).collect();
-        let extra: Vec<NodeId> = (1..n)
-            .filter(|p| extra_mask & (1 << (p % 8)) != 0)
-            .filter(|p| !base.contains(p))
-            .take(3)
-            .collect();
-        let mut union: Vec<NodeId> = base.iter().chain(&extra).copied().collect();
-        union.sort_unstable();
-
-        let cols = m.columns();
-        let mut ws = CountsWorkspace::new();
-        ws.set_base(&cols, &base).expect("small base");
-        let counts = ws.refined_counts(&cols, child, &extra).expect("small combo").to_vec();
-        prop_assert_eq!(counts, m.combo_counts(child, &union).expect("small combo"));
+        let candidates: Vec<NodeId> = (1..n).collect();
+        let table = JointTable::from_cols(&m.columns(), child, &candidates).expect("small table");
+        let mut lattice = Lattice::default();
+        lattice.fill(&table);
+        for mask in 0..1usize << candidates.len() {
+            let subset: Vec<NodeId> = (0..candidates.len())
+                .filter(|t| mask >> t & 1 == 1)
+                .map(|t| candidates[t])
+                .collect();
+            let want = m.combo_counts(child, &subset).expect("small combo");
+            prop_assert_eq!(lattice.marginal(mask), want.as_slice());
+        }
     }
 
     // The tiled pairwise kernel is bit-identical to the per-pair column
